@@ -8,16 +8,22 @@
 //! partition analysis on every operation. Expected shape: roughly linear
 //! in `O × C`.
 //!
-//! The `parallel` section measures the work-pool checker
-//! (`check_completeness_jobs` / `check_consistency_jobs`) on a 64-operation
-//! synthetic spec at 1 vs 4 workers and prints the speedup. On a machine
-//! with ≥4 cores the combined speedup is expected (and asserted) to be
-//! ≥2×; on smaller machines the numbers are reported but not enforced,
-//! since the hardware cannot exhibit the parallelism.
+//! The `phase_*` rows split a whole check of the 512-axiom synthetic spec
+//! (8 constructors × 64 observers) into its layers: the sequential
+//! critical-pair enumeration, pair joining, normalization of the
+//! checker's seeded probe terms, and the completeness analysis. The
+//! synthetic spec is orthogonal — it has no critical pairs — so the join
+//! row runs on the 256-axiom member with a twin of every axiom (512
+//! axioms, 512 pairs that all join). The `pipeline` rows time the whole
+//! completeness + consistency check at 1 and 4 workers; they are
+//! end-to-end rows, not a scaling measurement.
 
 use adt_bench::harness::Group;
-use adt_bench::workloads::synthetic_spec as synthetic;
-use adt_check::{check_completeness, check_completeness_jobs, check_consistency_jobs, ProbeConfig};
+use adt_bench::workloads::{synthetic_spec as synthetic, with_twin_axioms};
+use adt_check::{
+    check_completeness, check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig,
+};
+use adt_rewrite::{classify_superposition, superpositions, Rewriter};
 
 fn main() {
     let group = Group::new("checker_scaling");
@@ -39,30 +45,56 @@ fn main() {
         report.missing_case_count()
     });
 
-    // The multi-threaded variant: one synthetic spec with 64 operations,
-    // checked with 1 worker and with 4. Probing is capped so the run stays
-    // within the bench budget; the per-item work (pattern analysis, pair
-    // classification, probe normalization) is what the pool distributes.
+    // One check of the 512-axiom spec, phase by phase.
     let spec = synthetic(8, 64);
+    group.bench("phase_enumerate/512ax", || {
+        superpositions(std::hint::black_box(&spec))
+            .expect("enumerates")
+            .superpositions
+            .len()
+    });
+    let twins = superpositions(&with_twin_axioms(&synthetic(8, 32))).expect("enumerates");
+    let twin_rw = Rewriter::new(&twins.spec);
+    group.bench("phase_join/512ax_twins", || {
+        let joined = twins
+            .superpositions
+            .iter()
+            .filter(|sp| classify_superposition(&twin_rw, std::hint::black_box(sp)).is_joinable())
+            .count();
+        assert_eq!(joined, twins.superpositions.len());
+        joined
+    });
+    // Probing is capped at 64 samples so the run stays within the bench
+    // budget.
     let probe = ProbeConfig {
         samples: 64,
         ..ProbeConfig::default()
     };
-    let check_all = |jobs: usize| {
-        let comp = check_completeness_jobs(&spec, jobs);
-        assert!(comp.is_sufficiently_complete());
-        let cons = check_consistency_jobs(&spec, &probe, jobs);
-        (comp.coverage().len(), cons.pairs_checked())
-    };
-    let seq = group.bench("parallel/64ops_jobs1", || check_all(1));
-    let par = group.bench("parallel/64ops_jobs4", || check_all(4));
-    let speedup = par.speedup_over(&seq);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("checker_scaling/parallel speedup at 4 workers: {speedup:.2}x ({cores} core(s))");
-    if cores >= 4 {
-        assert!(
-            speedup >= 2.0,
-            "expected >=2x speedup at 4 workers on {cores} cores, got {speedup:.2}x"
-        );
+    let probes = probe_terms(&spec, &probe);
+    let rw = Rewriter::new(&spec);
+    group.bench("phase_probes/512ax_64", || {
+        probes
+            .iter()
+            .map(|t| {
+                rw.normalize(std::hint::black_box(t))
+                    .expect("normalizes")
+                    .size()
+            })
+            .sum::<usize>()
+    });
+    group.bench("phase_completeness/512ax", || {
+        let report = check_completeness(std::hint::black_box(&spec));
+        assert!(report.is_sufficiently_complete());
+        report.coverage().len()
+    });
+
+    // The whole check end to end.
+    for jobs in [1usize, 4] {
+        group.bench(&format!("pipeline/512ax_jobs{jobs}"), || {
+            let comp = check_completeness_jobs(std::hint::black_box(&spec), jobs);
+            assert!(comp.is_sufficiently_complete());
+            let cons = check_consistency_jobs(&spec, &probe, jobs);
+            (comp.coverage().len(), cons.pairs_checked())
+        });
     }
 }

@@ -18,10 +18,10 @@ use std::time::Duration;
 
 use adt_bench::harness::Group;
 use adt_bench::report::{regressions, BenchRecord, BenchReport};
-use adt_bench::workloads::{queue_term, synthetic_spec};
-use adt_check::{check_completeness_jobs, check_consistency_jobs, ProbeConfig};
+use adt_bench::workloads::{queue_term, synthetic_spec, with_twin_axioms};
+use adt_check::{check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig};
 use adt_core::{Deadline, Session, Supervisor};
-use adt_rewrite::Rewriter;
+use adt_rewrite::{classify_superposition, superpositions, Rewriter};
 use adt_structures::specs::queue_spec;
 
 const USAGE: &str = "\
@@ -203,8 +203,12 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         );
     }
 
-    // checker_scaling: the full completeness partition analysis, and the
-    // parallel completeness+consistency pipeline at 1 and 4 workers.
+    // checker_scaling: the full completeness partition analysis, one check
+    // of the 512-axiom synthetic spec split into its phases (enumeration,
+    // joining, probe normalization, completeness), and that whole check
+    // end to end at 1 and 4 workers. The synthetic spec has no critical
+    // pairs, so the join row runs on the 256-axiom member with a twin of
+    // every axiom (512 axioms, 512 joinable pairs).
     {
         let g = group("checker_scaling");
         let small = synthetic_spec(8, 32);
@@ -219,15 +223,65 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         );
 
         let big = synthetic_spec(8, 64);
+        push(
+            "checker_scaling",
+            "phase_enumerate/512ax",
+            g.bench("phase_enumerate/512ax", || {
+                superpositions(std::hint::black_box(&big))
+                    .expect("enumerates")
+                    .superpositions
+                    .len()
+            }),
+        );
+        let twins = superpositions(&with_twin_axioms(&small)).expect("enumerates");
+        let twin_rw = Rewriter::new(&twins.spec);
+        push(
+            "checker_scaling",
+            "phase_join/512ax_twins",
+            g.bench("phase_join/512ax_twins", || {
+                twins
+                    .superpositions
+                    .iter()
+                    .filter(|sp| {
+                        classify_superposition(&twin_rw, std::hint::black_box(sp)).is_joinable()
+                    })
+                    .count()
+            }),
+        );
         let probe = ProbeConfig {
             samples: 64,
             ..ProbeConfig::default()
         };
+        let probes = probe_terms(&big, &probe);
+        let rw = Rewriter::new(&big);
+        push(
+            "checker_scaling",
+            "phase_probes/512ax_64",
+            g.bench("phase_probes/512ax_64", || {
+                probes
+                    .iter()
+                    .map(|t| {
+                        rw.normalize(std::hint::black_box(t))
+                            .expect("normalizes")
+                            .size()
+                    })
+                    .sum::<usize>()
+            }),
+        );
+        push(
+            "checker_scaling",
+            "phase_completeness/512ax",
+            g.bench("phase_completeness/512ax", || {
+                let report = adt_check::check_completeness(std::hint::black_box(&big));
+                assert!(report.is_sufficiently_complete());
+                report.coverage().len()
+            }),
+        );
         for jobs in [1usize, 4] {
             push(
                 "checker_scaling",
-                &format!("parallel/64ops_jobs{jobs}"),
-                g.bench(&format!("parallel/64ops_jobs{jobs}"), || {
+                &format!("pipeline/512ax_jobs{jobs}"),
+                g.bench(&format!("pipeline/512ax_jobs{jobs}"), || {
                     let comp = check_completeness_jobs(std::hint::black_box(&big), jobs);
                     assert!(comp.is_sufficiently_complete());
                     let cons = check_consistency_jobs(&big, &probe, jobs);

@@ -17,6 +17,7 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use adt_core::{
     display, match_pattern, DetRng, EngineError, ExhaustionCause, Fuel, FuelSpent, Interrupt, OpId,
@@ -349,7 +350,10 @@ fn consistency_impl(
     let mut probe_verdicts: Vec<String> = Vec::new();
 
     // Phase 1: critical pairs — sequential enumeration, parallel joining.
-    let set = match superpositions(spec) {
+    let enumeration_start = Instant::now();
+    let enumerated = superpositions(spec);
+    stats.enumerate = enumeration_start.elapsed();
+    let set = match enumerated {
         Ok(set) => set,
         Err(err) => {
             // Enumeration itself rejected the spec: no per-item work ran.
@@ -541,17 +545,7 @@ fn consistency_impl(
                 .collect()
         })
         .unwrap_or_default();
-    let mut rng = DetRng::new(probe.seed);
-    let observers: Vec<OpId> = spec.derived_ops().collect();
-    let mut probe_terms = Vec::new();
-    if !observers.is_empty() {
-        for _ in 0..probe.samples {
-            let op = observers[rng.below(observers.len())];
-            if let Some(term) = random_application(spec.sig(), op, probe.max_depth, &mut rng) {
-                probe_terms.push(term);
-            }
-        }
-    }
+    let probe_terms = probe_terms(spec, probe);
     let probes_run = probe_terms.len();
     let probe_faults = if faults.is_active() {
         faults.arm("probes", probes_run)
@@ -746,6 +740,25 @@ fn retry_note(label: &str, rung: u32, config: &CheckConfig, rescued: bool) -> St
         .map_or(config.fuel, |retry| retry.fuel_at(config.fuel, rung));
     let end = if rescued { "rescued" } else { "still exhausted" };
     format!("{label}: {end} at rung {rung} (fuel {})", fuel.steps)
+}
+
+/// The ground probe terms a consistency check samples: `probe.samples`
+/// draws from the seeded stream, each a random application of a defined
+/// operation to constructor terms (draws whose argument sorts have no
+/// constructors are dropped).
+pub fn probe_terms(spec: &Spec, probe: &ProbeConfig) -> Vec<Term> {
+    let mut rng = DetRng::new(probe.seed);
+    let observers: Vec<OpId> = spec.derived_ops().collect();
+    let mut terms = Vec::new();
+    if !observers.is_empty() {
+        for _ in 0..probe.samples {
+            let op = observers[rng.below(observers.len())];
+            if let Some(term) = random_application(spec.sig(), op, probe.max_depth, &mut rng) {
+                terms.push(term);
+            }
+        }
+    }
+    terms
 }
 
 /// Builds a random ground application of `op` to constructor terms.

@@ -66,8 +66,8 @@ pub use completeness::{
 };
 pub use consistency::{
     check_consistency, check_consistency_jobs, check_consistency_session, check_consistency_with,
-    check_consistency_with_config, ConsistencyReport, ConsistencyVerdict, Contradiction,
-    ExhaustedProbe, ProbeConfig,
+    check_consistency_with_config, probe_terms, ConsistencyReport, ConsistencyVerdict,
+    Contradiction, ExhaustedProbe, ProbeConfig,
 };
 pub use parallel::{CheckFailure, CheckStats, ItemOutcome};
 pub use lint::{

@@ -287,6 +287,9 @@ pub struct CheckStats {
     pub rewrite_steps: u64,
     /// Wall time of the parallel phase(s).
     pub elapsed: Duration,
+    /// Wall time of the sequential critical-pair enumeration that precedes
+    /// the pair phase (consistency checks only). Not part of `elapsed`.
+    pub enumerate: Duration,
     /// Per-worker busy time.
     pub busy: Vec<Duration>,
     /// Per-operation analysis wall time (completeness checks only), in
@@ -330,9 +333,10 @@ impl CheckStats {
             self.jobs, self.items, self.pairs_checked, self.probes_run, self.rewrite_steps
         );
         out.push_str(&format!(
-            "stats: wall {:?}, utilization {:.0}%\n",
+            "stats: wall {:?} (pool), utilization {:.0}%, enumerate {:?} (sequential)\n",
             self.elapsed,
-            self.utilization() * 100.0
+            self.utilization() * 100.0,
+            self.enumerate
         ));
         for (op, t) in &self.op_times {
             out.push_str(&format!("stats:   {op}: {t:?}\n"));

@@ -459,6 +459,7 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
         }
         if let Some(k) = consistency.as_ref().map(|r| r.stats()) {
             stats.absorb(&k.busy, k.elapsed, k.items);
+            stats.enumerate = k.enumerate;
             stats.pairs_checked = k.pairs_checked;
             stats.probes_run = k.probes_run;
             stats.rewrite_steps = k.rewrite_steps;
@@ -810,6 +811,7 @@ end
         assert_eq!(out.code, 0, "{}", out.output);
         assert!(out.output.contains("stats: 4 job(s)"), "{}", out.output);
         assert!(out.output.contains("utilization"), "{}", out.output);
+        assert!(out.output.contains("enumerate"), "{}", out.output);
         assert!(out.output.contains("stats: session arena"), "{}", out.output);
         assert!(out.output.contains("stats: session memo"), "{}", out.output);
         let _ = fs::remove_file(path);

@@ -67,12 +67,19 @@ impl From<&Axiom> for Rule {
     }
 }
 
-/// A set of rules indexed by the head operation of their left-hand sides,
-/// so the engine only tries rules that can possibly match.
+/// A set of rules in insertion (axiom) order, indexed by the head
+/// operation of their left-hand sides so the engine only tries rules that
+/// can possibly match.
+///
+/// Iteration order never depends on hashing: [`RuleSet::iter`] yields
+/// rules in insertion order, and [`RuleSet::for_head`] yields one head's
+/// rules in insertion order, so everything enumerated from a rule set
+/// (critical pairs, and with them contradiction reports) is identical
+/// across processes.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    by_head: HashMap<OpId, Vec<Rule>>,
-    len: usize,
+    rules: Vec<Rule>,
+    by_head: HashMap<OpId, Vec<usize>>,
 }
 
 impl RuleSet {
@@ -92,35 +99,50 @@ impl RuleSet {
 
     /// Adds a rule. Rules for the same head are tried in insertion order.
     pub fn add(&mut self, rule: Rule) {
-        self.by_head.entry(rule.head()).or_default().push(rule);
-        self.len += 1;
+        self.by_head
+            .entry(rule.head())
+            .or_default()
+            .push(self.rules.len());
+        self.rules.push(rule);
     }
 
-    /// The rules whose left-hand side is headed by `op`.
-    pub fn for_head(&self, op: OpId) -> &[Rule] {
+    /// The rules whose left-hand side is headed by `op`, in insertion
+    /// order.
+    pub fn for_head(&self, op: OpId) -> impl ExactSizeIterator<Item = &Rule> {
+        self.head_indices(op).iter().map(|&i| &self.rules[i])
+    }
+
+    /// The insertion indices (positions in [`RuleSet::as_slice`]) of the
+    /// rules headed by `op`, ascending.
+    pub fn head_indices(&self, op: OpId) -> &[usize] {
         self.by_head.get(&op).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Iterates over every rule in the set.
-    pub fn iter(&self) -> impl Iterator<Item = &Rule> {
-        self.by_head.values().flatten()
+    /// Every rule, in insertion order.
+    pub fn as_slice(&self) -> &[Rule] {
+        &self.rules
+    }
+
+    /// Iterates over every rule in insertion order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Rule> {
+        self.rules.iter()
     }
 
     /// Total number of rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.rules.len()
     }
 
     /// Whether the set contains no rules.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rules.is_empty()
     }
 
     /// Whether any rule is headed by `op` — i.e. whether `op` is *defined*
     /// by the rule set rather than free (a constructor or an unspecified
     /// operation).
     pub fn defines(&self, op: OpId) -> bool {
-        !self.for_head(op).is_empty()
+        !self.head_indices(op).is_empty()
     }
 
     /// A short human-readable summary, e.g. for logging: names of defined
@@ -129,7 +151,7 @@ impl RuleSet {
         let mut entries: Vec<_> = self
             .by_head
             .iter()
-            .map(|(op, rules)| format!("{}:{}", sig.op(*op).name(), rules.len()))
+            .map(|(op, indices)| format!("{}:{}", sig.op(*op).name(), indices.len()))
             .collect();
         entries.sort();
         entries.join(", ")
@@ -166,7 +188,7 @@ mod tests {
         assert!(rs.defines(is_zero));
         let zero = spec.sig().find_op("ZERO").unwrap();
         assert!(!rs.defines(zero));
-        assert_eq!(rs.for_head(zero), &[]);
+        assert_eq!(rs.for_head(zero).len(), 0);
     }
 
     #[test]
@@ -174,8 +196,29 @@ mod tests {
         let spec = tiny_spec();
         let rs = RuleSet::from_spec(&spec);
         let is_zero = spec.sig().find_op("IS_ZERO?").unwrap();
-        let labels: Vec<_> = rs.for_head(is_zero).iter().map(Rule::label).collect();
+        let labels: Vec<_> = rs.for_head(is_zero).map(Rule::label).collect();
         assert_eq!(labels, vec!["z1", "z2"]);
+    }
+
+    #[test]
+    fn iteration_and_head_indices_follow_insertion_order_across_heads() {
+        let spec = tiny_spec();
+        let mut rs = RuleSet::from_spec(&spec);
+        let x = spec.sig().find_var("x").unwrap();
+        let succ = spec.sig().find_op("SUCC").unwrap();
+        let is_zero = spec.sig().find_op("IS_ZERO?").unwrap();
+        let tt = spec.axioms()[0].rhs().clone();
+        rs.add(Rule::new(
+            "s1",
+            Term::App(succ, vec![Term::Var(x)]),
+            Term::Var(x),
+        ));
+        rs.add(Rule::new("z3", Term::App(is_zero, vec![Term::Var(x)]), tt));
+        let labels: Vec<_> = rs.iter().map(Rule::label).collect();
+        assert_eq!(labels, vec!["z1", "z2", "s1", "z3"]);
+        assert_eq!(rs.head_indices(is_zero), &[0, 1, 3]);
+        assert_eq!(rs.head_indices(succ), &[2]);
+        assert_eq!(rs.as_slice()[2].label(), "s1");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! axiomatization is inconsistent", §3). This module computes all critical
 //! pairs of a specification and classifies each as joinable or diverged.
 
-use adt_core::{unify, Fuel, FuelSpent, Interrupt, Position, Spec, Subst, Term, VarId};
+use adt_core::{unify, Fuel, FuelSpent, Interrupt, OpId, Position, Spec, Subst, Term, VarId};
 
 use crate::engine::Rewriter;
 use crate::error::RewriteError;
@@ -148,6 +148,13 @@ pub struct SuperpositionSet {
 /// deterministic: outer rules in axiom order, inner rules in axiom order,
 /// positions in `subterms()` order.
 ///
+/// Each rule is renamed apart once, and a pair is only unified at a
+/// position whose subterm is an application of the inner rule's head
+/// (looked up in the [`RuleSet`] head index) — an exact filter, since a
+/// left-hand side cannot unify with any other subterm. The cost is
+/// therefore proportional to the overlaps that share a head, not to the
+/// square of the axiom count.
+///
 /// # Errors
 ///
 /// Returns an error only if the extended specification cannot be
@@ -177,20 +184,46 @@ pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
     .map_err(crate::RewriteError::from)?;
 
     let rules = RuleSet::from_spec(&extended);
-    let all_rules: Vec<_> = rules.iter().collect();
+    let all_rules = rules.as_slice();
+    // Rename every rule apart once, outside the pair loop.
+    let renamed: Vec<(Term, Term)> = all_rules
+        .iter()
+        .map(|r| (renaming.apply(r.lhs()), renaming.apply(r.rhs())))
+        .collect();
     let mut found = Vec::new();
+    let mut inner_rules: Vec<usize> = Vec::new();
     for (oi, outer) in all_rules.iter().enumerate() {
-        for (ii, inner) in all_rules.iter().enumerate() {
-            let inner_lhs = renaming.apply(inner.lhs());
-            let inner_rhs = renaming.apply(inner.rhs());
-            for (pos, sub) in outer.lhs().subterms() {
-                if matches!(sub, Term::Var(_)) {
+        // The overlap sites of the outer left-hand side, with their heads.
+        // Every rule's left-hand side is an application, so it can only
+        // unify with an application of the same head: variables, `Ite`
+        // and `Error` subterms never overlap, and the head index names
+        // exactly the inner rules worth trying.
+        let sites: Vec<(Position, &Term, OpId)> = outer
+            .lhs()
+            .subterms()
+            .into_iter()
+            .filter_map(|(pos, sub)| match sub {
+                Term::App(op, _) => Some((pos, sub, *op)),
+                _ => None,
+            })
+            .collect();
+        inner_rules.clear();
+        for (_, _, op) in &sites {
+            inner_rules.extend_from_slice(rules.head_indices(*op));
+        }
+        inner_rules.sort_unstable();
+        inner_rules.dedup();
+        for &ii in &inner_rules {
+            let inner = &all_rules[ii];
+            let (inner_lhs, inner_rhs) = &renamed[ii];
+            for (pos, sub, op) in &sites {
+                if *op != inner.head() {
                     continue;
                 }
                 if oi == ii && pos.is_empty() {
                     continue; // trivial self-overlap
                 }
-                let Some(unifier) = unify(sub, &inner_lhs) else {
+                let Some(unifier) = unify(sub, inner_lhs) else {
                     continue;
                 };
                 let subst = &unifier.subst;
@@ -198,13 +231,13 @@ pub fn superpositions(spec: &Spec) -> Result<SuperpositionSet> {
                 let left = deep_apply(subst, outer.rhs());
                 let replaced = outer
                     .lhs()
-                    .replace_at(&pos, inner_rhs.clone())
+                    .replace_at(pos, inner_rhs.clone())
                     .expect("position came from subterms()");
                 let right = deep_apply(subst, &replaced);
                 found.push(Superposition {
                     outer_rule: outer.label().to_owned(),
                     inner_rule: inner.label().to_owned(),
-                    position: pos,
+                    position: pos.clone(),
                     peak,
                     left,
                     right,

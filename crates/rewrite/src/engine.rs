@@ -268,8 +268,8 @@ pub struct Rewriter<'a> {
 }
 
 /// A rule whose sides are interned into the run's arena, paired with its
-/// position in the rewriter's [`RuleSet`] bucket for that head (trace
-/// labels are read back through the index, so no strings are copied).
+/// insertion index in the rewriter's [`RuleSet`] (trace labels are read
+/// back through the index, so no strings are copied).
 struct InternedRule {
     lhs: TermId,
     rhs: TermId,
@@ -952,14 +952,14 @@ impl<'a> Rewriter<'a> {
                         cx.rules.resize_with(op_index + 1, || None);
                     }
                     if cx.rules[op_index].is_none() {
+                        let all_rules = self.rules.as_slice();
                         let compiled: Box<[InternedRule]> = self
                             .rules
-                            .for_head(op)
+                            .head_indices(op)
                             .iter()
-                            .enumerate()
-                            .map(|(index, rule)| InternedRule {
-                                lhs: cx.arena.intern(rule.lhs()),
-                                rhs: cx.arena.intern(rule.rhs()),
+                            .map(|&index| InternedRule {
+                                lhs: cx.arena.intern(all_rules[index].lhs()),
+                                rhs: cx.arena.intern(all_rules[index].rhs()),
                                 index,
                             })
                             .collect();
@@ -983,7 +983,7 @@ impl<'a> Rewriter<'a> {
                             st.tick(&self.budget)?;
                             let contractum = instantiate(arena, rule.rhs, &bindings);
                             if st.tracing() {
-                                let label = self.rules.for_head(op)[rule.index].label();
+                                let label = self.rules.as_slice()[rule.index].label();
                                 let redex = arena.to_term(subject);
                                 let contractum_term = arena.to_term(contractum);
                                 st.note(label, &redex, &contractum_term);
