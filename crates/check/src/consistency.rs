@@ -315,7 +315,9 @@ pub fn check_consistency_with_config(
 ///
 /// Sharing the memo with the pair phase's *extended* rewriter is sound:
 /// [`superpositions`] extends the signature with renamed variables only,
-/// so every operation keeps its index and structural hashes agree.
+/// so every operation and sort keeps its index, and the memo's ids (which
+/// stand for ground terms built from those indices) mean the same terms
+/// to both rewriters.
 /// Reports are byte-identical to [`check_consistency_with_config`]
 /// whenever no probe's exhaustion is fuel-marginal (warm memo facts can
 /// only reduce the steps a normalization spends, which at a tight budget
@@ -397,8 +399,9 @@ fn consistency_impl(
         .with_budget(config.fuel)
         .supervised(supervisor.clone());
     if let Some(session) = session {
-        // Vars-only signature extension: op indices (and so structural
-        // hashes) agree with the session's, so sharing its memo is sound.
+        // Vars-only signature extension: op and sort indices (and so the
+        // ground terms the memo's ids stand for) agree with the session's,
+        // so sharing its memo is sound.
         ext_rw = ext_rw.with_memo(Arc::clone(session.memo()));
     }
     // Deliberately memo-less (not a clone of `ext_rw`): the tiny budget

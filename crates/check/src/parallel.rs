@@ -137,9 +137,11 @@ where
 ///
 /// The `AssertUnwindSafe` is justified: a panicked chunk's partial
 /// results are discarded wholesale and its items retried from scratch,
-/// and the only state shared across attempts — the rewriter's sharded
-/// memo — recovers poisoned shards explicitly (`PoisonError::into_inner`)
-/// and only ever caches context-free facts.
+/// and the only state shared across attempts — the rewriter's memo —
+/// recovers a poisoned lock explicitly (`PoisonError::into_inner`), only
+/// ever caches context-free facts, and records a fact only after both of
+/// its terms are interned (an interrupted insert leaves unused nodes in
+/// an append-only arena, never a wrong fact).
 pub fn run_isolated<T, R, W, L>(jobs: usize, items: &[T], work: W, label: L) -> PoolRun<ItemOutcome<R>>
 where
     T: Sync,

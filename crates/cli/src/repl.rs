@@ -139,7 +139,7 @@ fn dispatch(
         Some(budget) => Supervisor::none().with_deadline(Deadline::after(budget)),
         None => Supervisor::none(),
     };
-    // Cheap per line (a rule-set clone); the memo behind it is the
+    // Cheap per line (the rules are borrowed); the memo behind it is the
     // session's, so rewrites on earlier lines keep paying off here.
     let rw = Rewriter::for_session(session).supervised(supervisor.clone());
     if let Some(rest) = line.strip_prefix(':') {

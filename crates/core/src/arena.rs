@@ -21,12 +21,12 @@
 //! [`TermId`]s are **process-local handles**: they index the arena that
 //! produced them and are meaningless anywhere else. They must never be
 //! serialized, compared across arenas, or stored in any artifact that
-//! outlives the arena — anything that crosses an arena boundary does so as
-//! a reconstructed [`Term`] ([`TermArena::to_term`]). The
-//! [`TermArena::structural_hash`], by contrast, is a pure function of term
-//! *structure* (the same term hashes identically in every arena and every
-//! process), which is what lets an arena-agnostic cache key its entries by
-//! hash and confirm candidates with [`TermArena::term_eq`].
+//! outlives the arena. A term crosses an arena boundary either as a
+//! reconstructed [`Term`] ([`TermArena::to_term`]) or by id translation
+//! through an [`ArenaLink`], which copies only the nodes the other arena
+//! lacks. The [`TermArena::structural_hash`], by contrast, is a pure
+//! function of term *structure* (the same term hashes identically in
+//! every arena and every process).
 //!
 //! The arena is append-only and unsynchronized by design: engines create
 //! one arena per normalization run, keeping the hot path free of locks,
@@ -280,6 +280,34 @@ impl TermArena {
         }
     }
 
+    /// The id this arena gives a node of *another* arena, `node` with
+    /// structural hash `hash`, once its children are mapped through
+    /// `map`; `None` if this arena lacks it (or `map` lacks a child).
+    /// Never interns and never allocates.
+    fn find_image(
+        &self,
+        hash: u64,
+        node: &TermNode,
+        map: impl Fn(TermId) -> Option<TermId>,
+    ) -> Option<TermId> {
+        let same = |mine: TermId, theirs: TermId| map(theirs) == Some(mine);
+        self.dedup
+            .get(&hash)?
+            .iter()
+            .copied()
+            .find(|&id| match (&self.nodes[id.index()], node) {
+                (TermNode::App(f, xs), TermNode::App(g, ys)) => {
+                    f == g
+                        && xs.len() == ys.len()
+                        && xs.iter().zip(ys.iter()).all(|(&x, &y)| same(x, y))
+                }
+                (TermNode::Ite(a, b, c), TermNode::Ite(x, y, z)) => {
+                    same(*a, *x) && same(*b, *y) && same(*c, *z)
+                }
+                (mine, theirs) => mine == theirs,
+            })
+    }
+
     fn intern_node(&mut self, node: TermNode) -> TermId {
         let meta = self.meta_of(&node);
         if let Some(bucket) = self.dedup.get(&meta.hash) {
@@ -465,6 +493,178 @@ impl TermArena {
     }
 }
 
+/// Sentinel in [`ArenaLink`]'s forward table: not looked up yet.
+const UNKNOWN: u32 = u32::MAX;
+/// Sentinel in [`ArenaLink`]'s forward table: the shared arena did not
+/// hold the term when it was looked up.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// A stable key for a [`PrehashedMap`] over ids: multiplying by an odd
+/// constant is a bijection, and it spreads consecutive ids across the
+/// table's control bits.
+#[inline]
+fn spread(id: TermId) -> u64 {
+    u64::from(id.0).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// The node `node` with each child id replaced through `map`, or `None`
+/// if some child has no image.
+fn remap(node: &TermNode, mut map: impl FnMut(TermId) -> Option<TermId>) -> Option<TermNode> {
+    Some(match node {
+        TermNode::Var(v) => TermNode::Var(*v),
+        TermNode::Error(s) => TermNode::Error(*s),
+        TermNode::App(op, args) => {
+            TermNode::App(*op, args.iter().map(|&a| map(a)).collect::<Option<_>>()?)
+        }
+        TermNode::Ite(c, t, e) => TermNode::Ite(map(*c)?, map(*t)?, map(*e)?),
+    })
+}
+
+/// Visits the nodes under `root` children first, with an explicit stack.
+/// `step(id, false)` asks whether `id` still needs visiting (children of
+/// a node that does not are skipped); `step(id, true)` visits it, once
+/// every child that needed visiting has been visited.
+fn post_order(
+    arena: &TermArena,
+    root: TermId,
+    stack: &mut Vec<(TermId, bool)>,
+    mut step: impl FnMut(TermId, bool) -> bool,
+) {
+    stack.clear();
+    stack.push((root, false));
+    while let Some((id, expanded)) = stack.pop() {
+        // A subterm shared within the walk may be pushed twice; whichever
+        // copy pops second finds it done.
+        if !step(id, false) {
+            continue;
+        }
+        if expanded {
+            step(id, true);
+            continue;
+        }
+        stack.push((id, true));
+        match arena.node(id) {
+            TermNode::App(_, args) => stack.extend(args.iter().map(|&a| (a, false))),
+            TermNode::Ite(c, t, e) => stack.extend([(*c, false), (*t, false), (*e, false)]),
+            TermNode::Var(_) | TermNode::Error(_) => {}
+        }
+    }
+}
+
+/// Translates ids between a private *local* arena and one long-lived
+/// *shared* arena, so terms cross by id instead of as [`Term`] trees.
+///
+/// A link belongs to one pair of arenas for the lifetime of the local
+/// one (one normalization run). It remembers every translation it made:
+/// a forward table maps local ids to shared ids — or records that the
+/// shared arena did not hold the term — and a reverse map serves
+/// imports. Each node is therefore translated at most once per link, and
+/// a lookup that missed on a deep term is not repeated at every level.
+///
+/// The shared arena is append-only, so a recorded shared id stays valid
+/// for ever. A recorded absence may go stale when another thread interns
+/// the term meanwhile; that only costs a lookup that could have found
+/// it, and [`ArenaLink::export`] (which interns) refreshes it. Every walk
+/// uses an explicit stack, so terms of any depth translate.
+#[derive(Debug, Default)]
+pub struct ArenaLink {
+    /// Local id → shared id, [`UNKNOWN`] or [`ABSENT`].
+    fwd: Vec<u32>,
+    /// Shared id (spread) → local id.
+    rev: PrehashedMap<TermId>,
+    stack: Vec<(TermId, bool)>,
+}
+
+impl ArenaLink {
+    /// A link that has translated nothing yet.
+    pub fn new() -> Self {
+        ArenaLink::default()
+    }
+
+    fn fwd(&self, local: TermId) -> u32 {
+        self.fwd.get(local.index()).copied().unwrap_or(UNKNOWN)
+    }
+
+    /// Whether a lookup of `local` already missed during this link's
+    /// lifetime (and nothing exported it since).
+    pub fn known_absent(&self, local: TermId) -> bool {
+        self.fwd(local) == ABSENT
+    }
+
+    fn present(&self, local: TermId) -> Option<TermId> {
+        match self.fwd(local) {
+            UNKNOWN | ABSENT => None,
+            shared => Some(TermId(shared)),
+        }
+    }
+
+    fn set(&mut self, local: TermId, shared: Option<TermId>, local_len: usize) {
+        if self.fwd.len() <= local.index() {
+            self.fwd.resize(local_len.max(local.index() + 1), UNKNOWN);
+        }
+        self.fwd[local.index()] = match shared {
+            Some(s) => {
+                self.rev.insert(spread(s), local);
+                s.0
+            }
+            None => ABSENT,
+        };
+    }
+
+    /// The id in `shared` of the term `id` denotes in `local`, if `shared`
+    /// holds it. Never writes `shared`, so a read lock suffices.
+    pub fn probe(&mut self, local: &TermArena, shared: &TermArena, id: TermId) -> Option<TermId> {
+        let mut stack = std::mem::take(&mut self.stack);
+        post_order(local, id, &mut stack, |n, visit| {
+            if !visit {
+                return self.fwd(n) == UNKNOWN;
+            }
+            let found =
+                shared.find_image(local.structural_hash(n), local.node(n), |c| self.present(c));
+            self.set(n, found, local.len());
+            true
+        });
+        self.stack = stack;
+        self.present(id)
+    }
+
+    /// Interns the term `id` denotes in `local` into `shared`, adding only
+    /// the nodes `shared` lacks, and returns its shared id.
+    pub fn export(&mut self, local: &TermArena, shared: &mut TermArena, id: TermId) -> TermId {
+        let mut stack = std::mem::take(&mut self.stack);
+        post_order(local, id, &mut stack, |n, visit| {
+            if !visit {
+                return self.present(n).is_none();
+            }
+            let node = remap(local.node(n), |c| self.present(c))
+                .expect("children are exported before their parent");
+            let s = shared.intern_node(node);
+            self.set(n, Some(s), local.len());
+            true
+        });
+        self.stack = stack;
+        self.present(id).expect("the root was exported")
+    }
+
+    /// Interns the term `id` denotes in `shared` into `local` and returns
+    /// its local id.
+    pub fn import(&mut self, local: &mut TermArena, shared: &TermArena, id: TermId) -> TermId {
+        let mut stack = std::mem::take(&mut self.stack);
+        post_order(shared, id, &mut stack, |s, visit| {
+            if !visit {
+                return !self.rev.contains_key(&spread(s));
+            }
+            let node = remap(shared.node(s), |c| self.rev.get(&spread(c)).copied())
+                .expect("children are imported before their parent");
+            let n = local.intern_node(node);
+            self.set(n, Some(s), local.len());
+            true
+        });
+        self.stack = stack;
+        self.rev[&spread(id)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +777,68 @@ mod tests {
         let e = arena.intern(&Term::Error(item));
         assert!(arena.term_eq(e, &Term::Error(item)));
         assert!(!arena.term_eq(e, &Term::Error(queue)));
+    }
+
+    #[test]
+    fn links_translate_by_id_and_copy_only_missing_nodes() {
+        let sig = sig();
+        let mut shared = TermArena::new();
+        let mut local = TermArena::new();
+        let mut link = ArenaLink::new();
+        let three = local.intern(&chain(&sig, 3));
+        let front = local.intern(&sig.apply("FRONT", vec![chain(&sig, 3)]).unwrap());
+        // Nothing is shared yet; the miss is remembered for the run.
+        assert_eq!(link.probe(&local, &shared, front), None);
+        let s_three = link.export(&local, &mut shared, three);
+        assert_eq!(shared.to_term(s_three), chain(&sig, 3));
+        let before = shared.len();
+        let s_front = link.export(&local, &mut shared, front);
+        assert_eq!(shared.len(), before + 1, "only the FRONT node was missing");
+        assert_eq!(link.probe(&local, &shared, front), Some(s_front));
+
+        // A second run finds the shared ids and imports by id.
+        let mut other = TermArena::new();
+        let mut other_link = ArenaLink::new();
+        let o_front = other.intern(&sig.apply("FRONT", vec![chain(&sig, 3)]).unwrap());
+        assert_eq!(other_link.probe(&other, &shared, o_front), Some(s_front));
+        let four = shared.intern(&chain(&sig, 4));
+        let o_four = other_link.import(&mut other, &shared, four);
+        assert_eq!(other.to_term(o_four), chain(&sig, 4));
+        assert_eq!(other_link.probe(&other, &shared, o_four), Some(four));
+    }
+
+    #[test]
+    fn deep_terms_cross_links_without_native_recursion() {
+        // Same shape as the interning test below, through export, probe
+        // and import.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                let sig = sig();
+                let depth = 100_000;
+                let add = sig.find_op("ADD").unwrap();
+                let a = Term::constant(sig.find_op("A").unwrap());
+                let mut t = Term::constant(sig.find_op("NEW").unwrap());
+                for _ in 0..depth {
+                    t = Term::App(add, vec![t, a.clone()]);
+                }
+                let mut local = TermArena::new();
+                let id = local.intern(&t);
+                let mut shared = TermArena::new();
+                let mut link = ArenaLink::new();
+                assert_eq!(link.probe(&local, &shared, id), None);
+                let s = link.export(&local, &mut shared, id);
+                assert_eq!(shared.depth(s) as usize, depth + 1);
+                let mut fresh = TermArena::new();
+                let mut fresh_link = ArenaLink::new();
+                let back = fresh_link.import(&mut fresh, &shared, s);
+                assert!(fresh.term_eq(back, &t));
+                let mut again = ArenaLink::new();
+                assert_eq!(again.probe(&fresh, &shared, back), Some(s));
+            })
+            .expect("spawns")
+            .join()
+            .expect("deep translation must not overflow the stack");
     }
 
     #[test]

@@ -1,171 +1,156 @@
-//! One interned workspace from DSL to CLI: [`Session`], the sharded
-//! normal-form memo it owns, and the [`SessionStats`] observability
-//! choke point.
+//! One interned workspace from DSL to CLI: [`Session`], the normal-form
+//! memo it owns, and the [`SessionStats`] observability choke point.
 //!
 //! The pipeline used to re-create its world on every call: each
 //! completeness item, consistency probe, and verification pass built its
 //! own rewriter, re-compiled the axioms into rules, and re-interned terms
 //! into a throwaway arena. A [`Session`] owns all of that shared state
 //! once — the [`Spec`] (and so the [`Signature`]), the compiled
-//! [`RuleSet`], a long-lived hash-consing [`TermArena`], the cross-run
-//! [`ShardedMemo`], and a session-level normal-form cache — and every
-//! layer borrows it instead of rebuilding it.
+//! [`RuleSet`], one long-lived hash-consing [`TermArena`] with the
+//! cross-run normal-form table over its ids (together an [`NfMemo`]), and
+//! a session-level root-query cache — and every layer borrows it instead
+//! of rebuilding it.
 //!
 //! # Id-boundary rules
 //!
 //! [`TermId`]s handed out by [`Session::intern`] are *session-local*: they
 //! index the session arena and are meaningless anywhere else. The
 //! evaluation hot path still runs on its own run-local arena (keeping it
-//! lock-free); session ids cross into an engine only at the API boundary,
-//! where the term is materialized under a read lock, and normal forms
-//! cross back by being interned under a write lock. Materializing a
-//! [`Term`] from an id is always allowed (it is how anything escapes the
-//! session); storing a foreign arena's ids in the session — or session
-//! ids in any artifact that outlives the session — never is.
+//! lock-free); terms cross between that arena and the session arena by id
+//! translation through an [`ArenaLink`], under the session arena's read
+//! lock for lookups and imports and its write lock for exports.
+//! Materializing a [`Term`] from an id is always allowed (it is how
+//! anything escapes the session); storing a foreign arena's ids in the
+//! session — or session ids in any artifact that outlives the session —
+//! never is.
 //!
 //! # Memo-soundness rule
 //!
-//! The [`ShardedMemo`] is keyed by the arena-independent structural hash
-//! of a ground term, which bakes in [`crate::OpId`] *indices*. Sharing
-//! one memo between two rewriters is therefore sound only when their
-//! rule sets agree and their signatures assign the same indices to the
-//! same operations: extending a signature with **variables only** (case
-//! splits, superposition renamings) preserves both, while minting new
-//! operations (induction skolem constants) or adding rules (induction
-//! hypotheses) does not. Passes that extend the signature with
-//! operations must keep private, memo-less rewriters.
+//! The [`NfMemo`] maps an id of its arena to the id of its normal form.
+//! Ids stand for terms built from [`crate::OpId`], [`crate::SortId`] and
+//! [`crate::VarId`] *indices*, so sharing one memo between two rewriters
+//! is sound only when their rule sets agree and their signatures assign
+//! the same indices to the same operations and sorts: extending a
+//! signature with **variables only** (case splits, superposition
+//! renamings) preserves both — and memo facts are ground, so they never
+//! mention a variable — while minting new operations (induction skolem
+//! constants) or adding rules (induction hypotheses) does not. Passes
+//! that extend the signature with operations must keep private,
+//! memo-less rewriters.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::arena::{TermArena, TermId};
+use crate::arena::{ArenaLink, TermArena, TermId};
 use crate::rules::RuleSet;
 use crate::signature::Signature;
 use crate::spec::Spec;
 use crate::term::Term;
 
-/// Number of lock shards in the memo table. Sixteen keeps contention low
-/// for every worker-pool width this workspace uses while costing only a
-/// few hundred bytes when idle.
-const MEMO_SHARDS: usize = 16;
-
-/// Passes an already-mixed `u64` key through unchanged: the memo is keyed
-/// by [`TermArena::structural_hash`] values, which are well scrambled by
-/// construction, so SipHash on top would only add latency to every probe.
-#[derive(Default)]
-struct PassthroughHasher(u64);
-
-impl Hasher for PassthroughHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PassthroughHasher only hashes u64 keys");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i;
-    }
+/// A hash-consing arena and the normal-form facts recorded over its ids.
+#[derive(Debug, Default)]
+struct MemoStore {
+    arena: TermArena,
+    /// `nf[id.index()]` is the normal form of `id`, densely by id.
+    nf: Vec<Option<TermId>>,
+    /// Facts recorded (the `Some` entries of `nf`).
+    entries: usize,
 }
 
-type MemoShard = HashMap<u64, Vec<(Term, Term)>, BuildHasherDefault<PassthroughHasher>>;
-
-/// A sharded, mutex-guarded normal-form cache.
+/// A normal-form memo: one append-only [`TermArena`] plus a table that
+/// maps the id of a ground term to the id of its normal form, both behind
+/// one `RwLock`.
 ///
-/// Entries are keyed by the *arena-independent* structural hash of a
-/// ground term ([`TermArena::structural_hash`]), with hash collisions
-/// resolved by structural comparison against the stored key. Keys and
-/// values are stored as plain [`Term`]s, never as arena ids: ids are
-/// arena-local and the cache outlives every run (and is shared across
-/// worker threads), so terms are re-derived at the cache boundary.
+/// A [`Session`] owns one, and its arena *is* the session arena, so the
+/// ids [`Session::intern`] hands out are the memo's ids. A memoizing
+/// rewriter that is not bound to a session owns a private one.
 ///
-/// Entries are distributed across a fixed number of independent
-/// `Mutex<HashMap>` shards by hash, so concurrent normalizations from a
-/// worker pool mostly lock disjoint shards. The cache stores only
-/// context-free facts (ground term → normal form), so any interleaving of
-/// insertions yields the same lookups — sharing one memo across threads
-/// cannot change results. See the module docs for when sharing one memo
-/// across *rewriters* is sound.
+/// Engines keep their lock-free run-local arenas and reach the memo
+/// through an [`ArenaLink`] per run: [`NfMemo::get`] translates the
+/// subject into memo ids under the read lock and imports a stored normal
+/// form by id; [`NfMemo::insert`] interns only the nodes the memo arena
+/// lacks under the write lock. No fact is ever materialized as a
+/// [`Term`]. The memo stores only context-free facts (ground term →
+/// normal form), so any interleaving of insertions from a worker pool
+/// yields the same lookups — sharing one memo across threads cannot
+/// change results. See the module docs for when sharing one memo across
+/// *rewriters* is sound.
 ///
 /// Hit/miss totals are counted with relaxed atomics; they are telemetry
 /// (surfaced through [`SessionStats`]) and never affect results.
 #[derive(Debug, Default)]
-pub struct ShardedMemo {
-    shards: Vec<Mutex<MemoShard>>,
+pub struct NfMemo {
+    store: RwLock<MemoStore>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl ShardedMemo {
-    /// An empty memo.
+impl NfMemo {
+    /// An empty memo over an empty arena.
     pub fn new() -> Self {
-        ShardedMemo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| Mutex::new(MemoShard::default()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+        NfMemo::default()
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, MemoStore> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, MemoStore> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks up the normal form of the term `id` denotes in the run-local
+    /// arena `local`. On a hit the normal form is imported into `local`
+    /// and its local id returned. Read lock only, and none at all when
+    /// `link` already knows the memo arena lacks the term.
+    pub fn get(&self, link: &mut ArenaLink, local: &mut TermArena, id: TermId) -> Option<TermId> {
+        if !link.known_absent(id) {
+            let store = self.read();
+            let found = link
+                .probe(local, &store.arena, id)
+                .and_then(|key| store.nf.get(key.index()).copied().flatten());
+            if let Some(nf) = found {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(link.import(local, &store.arena, nf));
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Records that `normal` is the normal form of `id` (both ids of the
+    /// run-local arena `local`), interning whatever the memo arena lacks.
+    /// Write lock. Another worker may have raced us to the same fact;
+    /// the first record stands (both are the same normal form).
+    pub fn insert(&self, link: &mut ArenaLink, local: &TermArena, id: TermId, normal: TermId) {
+        let mut store = self.write();
+        let key = link.export(local, &mut store.arena, id);
+        let value = link.export(local, &mut store.arena, normal);
+        let MemoStore { arena, nf, entries } = &mut *store;
+        if nf.len() <= key.index() {
+            nf.resize(arena.len(), None);
+        }
+        if nf[key.index()].is_none() {
+            nf[key.index()] = Some(value);
+            *entries += 1;
         }
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<MemoShard> {
-        &self.shards[(hash as usize) % MEMO_SHARDS]
+    /// Imports the memo-arena term `id` into `local` (read lock).
+    pub fn import(&self, link: &mut ArenaLink, local: &mut TermArena, id: TermId) -> TermId {
+        link.import(local, &self.read().arena, id)
     }
 
-    /// Looks up the cached normal form of the term `id` denotes in
-    /// `arena`, confirming hash candidates structurally.
-    pub fn get(&self, arena: &TermArena, id: TermId) -> Option<Term> {
-        let hash = arena.structural_hash(id);
-        let guard = self
-            .shard(hash)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let found = guard
-            .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|(key, _)| arena.term_eq(id, key)))
-            .map(|(_, nf)| nf.clone());
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    /// Interns the `local` term `id` into the memo arena and returns its
+    /// memo id (write lock).
+    pub fn export(&self, link: &mut ArenaLink, local: &TermArena, id: TermId) -> TermId {
+        link.export(local, &mut self.write().arena, id)
     }
 
-    /// Records `id → nf` (both re-derived as [`Term`]s at this boundary).
-    pub fn insert(&self, arena: &TermArena, id: TermId, nf: TermId) {
-        let hash = arena.structural_hash(id);
-        let key = arena.to_term(id);
-        let value = arena.to_term(nf);
-        let mut guard = self
-            .shard(hash)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let bucket = guard.entry(hash).or_default();
-        // Another worker may have raced us to the same fact; the check
-        // and the push happen under one shard lock, so buckets never
-        // hold duplicate keys.
-        if !bucket.iter().any(|(existing, _)| existing == &key) {
-            bucket.push((key, value));
-        }
-    }
-
-    /// Total cached facts across all shards.
+    /// Facts currently recorded.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.read().entries
     }
 
     /// Whether the memo holds no facts.
@@ -184,26 +169,6 @@ impl ShardedMemo {
     }
 }
 
-impl Clone for ShardedMemo {
-    fn clone(&self) -> Self {
-        ShardedMemo {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| {
-                    Mutex::new(
-                        s.lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .clone(),
-                    )
-                })
-                .collect(),
-            hits: AtomicU64::new(self.hits()),
-            misses: AtomicU64::new(self.misses()),
-        }
-    }
-}
-
 /// A snapshot of a session's observability counters.
 ///
 /// Everything here is *telemetry*: two runs of the same checks produce
@@ -211,7 +176,8 @@ impl Clone for ShardedMemo {
 /// before). Report comparisons must never include these figures.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Distinct terms interned into the session arena.
+    /// Distinct term nodes in the session arena: interned queries and
+    /// normal forms, and the terms of the memo's facts.
     pub interned_terms: usize,
     /// Approximate bytes held by the session arena.
     pub arena_bytes: usize,
@@ -253,15 +219,15 @@ impl SessionStats {
 }
 
 /// One long-lived engine workspace: the specification, its compiled
-/// rules, a shared hash-consing term arena, the cross-run memo, and a
-/// session-level normal-form cache, plus the counters behind
-/// [`SessionStats`].
+/// rules, a shared hash-consing term arena with the cross-run
+/// normal-form table over its ids, and a session-level root-query cache,
+/// plus the counters behind [`SessionStats`].
 ///
-/// A session is `Sync`: the arena sits behind an `RwLock` that is taken
-/// only at API boundaries (interning in, materializing out), the memo is
-/// internally sharded, and the counters are atomics — the evaluation hot
-/// path itself never touches any session lock (engines run on their own
-/// run-local arenas and consult the shared memo between runs).
+/// A session is `Sync`: the arena and its memo table sit behind one
+/// `RwLock`, taken at API boundaries (interning in, materializing out)
+/// and by memo lookups and inserts, and the counters are atomics.
+/// Engines rewrite on their own run-local arenas, so no session lock is
+/// held while a rule fires.
 ///
 /// ```
 /// use adt_core::{Session, SpecBuilder, Term};
@@ -283,11 +249,12 @@ impl SessionStats {
 pub struct Session {
     spec: Spec,
     rules: RuleSet,
-    arena: RwLock<TermArena>,
-    memo: Arc<ShardedMemo>,
-    /// Session-id → session-id normal forms, for terms normalized through
-    /// the session API. Sound because entries are only recorded by
-    /// engines running the session's own rule set.
+    /// The session arena and the cross-run normal-form table over it.
+    memo: Arc<NfMemo>,
+    /// Session-id → session-id normal forms of the *root* queries routed
+    /// through the session API, kept apart from the memo table (which
+    /// also holds facts learned from subterms). Sound because entries are
+    /// only recorded by engines running the session's own rule set.
     nf_cache: Mutex<HashMap<TermId, TermId>>,
     nf_hits: AtomicU64,
     normalizations: AtomicU64,
@@ -301,8 +268,7 @@ impl Session {
         Session {
             spec,
             rules,
-            arena: RwLock::new(TermArena::new()),
-            memo: Arc::new(ShardedMemo::new()),
+            memo: Arc::new(NfMemo::new()),
             nf_cache: Mutex::new(HashMap::new()),
             nf_hits: AtomicU64::new(0),
             normalizations: AtomicU64::new(0),
@@ -325,18 +291,16 @@ impl Session {
         &self.rules
     }
 
-    /// The cross-run normal-form memo. Clone the `Arc` to share it with a
-    /// rewriter — see the module docs for when that is sound.
-    pub fn memo(&self) -> &Arc<ShardedMemo> {
+    /// The session arena with its cross-run normal-form table. Clone the
+    /// `Arc` to share it with a rewriter — see the module docs for when
+    /// that is sound.
+    pub fn memo(&self) -> &Arc<NfMemo> {
         &self.memo
     }
 
     /// Interns a term into the session arena (write lock; boundary only).
     pub fn intern(&self, term: &Term) -> TermId {
-        self.arena
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .intern(term)
+        self.memo.write().arena.intern(term)
     }
 
     /// Materializes the term a session id denotes (read lock).
@@ -345,19 +309,13 @@ impl Session {
     ///
     /// Panics if `id` did not come from this session.
     pub fn term(&self, id: TermId) -> Term {
-        self.arena
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_term(id)
+        self.memo.read().arena.to_term(id)
     }
 
     /// Whether the denoted term is structurally equal to `term`, without
     /// materializing (read lock).
     pub fn term_eq(&self, id: TermId, term: &Term) -> bool {
-        self.arena
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .term_eq(id, term)
+        self.memo.read().arena.term_eq(id, term)
     }
 
     /// The cached normal form of a session id, if one was recorded.
@@ -395,13 +353,13 @@ impl Session {
 
     /// A snapshot of the session's counters.
     pub fn stats(&self) -> SessionStats {
-        let arena = self.arena.read().unwrap_or_else(PoisonError::into_inner);
+        let store = self.memo.read();
         SessionStats {
-            interned_terms: arena.len(),
-            arena_bytes: arena.approx_bytes(),
+            interned_terms: store.arena.len(),
+            arena_bytes: store.arena.approx_bytes(),
             memo_hits: self.memo.hits(),
             memo_misses: self.memo.misses(),
-            memo_entries: self.memo.len(),
+            memo_entries: store.entries,
             nf_cache_hits: self.nf_hits.load(Ordering::Relaxed),
             normalizations: self.normalizations.load(Ordering::Relaxed),
             rewrite_steps: self.rewrite_steps.load(Ordering::Relaxed),
@@ -458,24 +416,31 @@ mod tests {
 
     #[test]
     fn memo_counts_hits_and_misses() {
-        let memo = ShardedMemo::new();
-        let mut arena = TermArena::new();
+        let memo = NfMemo::new();
+        let mut link = ArenaLink::new();
+        let mut local = TermArena::new();
         let spec = tiny_spec();
         let zero = spec.sig().apply("ZERO", vec![]).unwrap();
         let t = spec.sig().apply("IS_ZERO?", vec![zero]).unwrap();
-        let id = arena.intern(&t);
-        let nf = arena.intern(&spec.sig().tt());
-        assert_eq!(memo.get(&arena, id), None);
-        memo.insert(&arena, id, nf);
-        assert_eq!(memo.get(&arena, id), Some(spec.sig().tt()));
+        let id = local.intern(&t);
+        let nf = local.intern(&spec.sig().tt());
+        assert_eq!(memo.get(&mut link, &mut local, id), None);
+        memo.insert(&mut link, &local, id, nf);
+        assert_eq!(memo.get(&mut link, &mut local, id), Some(nf));
         assert_eq!(memo.hits(), 1);
         assert_eq!(memo.misses(), 1);
         assert_eq!(memo.len(), 1);
         assert!(!memo.is_empty());
-        // Cloning preserves both facts and counters.
-        let copy = memo.clone();
-        assert_eq!(copy.len(), 1);
-        assert_eq!(copy.hits(), 1);
+        // A fresh run (new local arena and link) finds the fact by id and
+        // imports the normal form into its own arena.
+        let mut other = TermArena::new();
+        let mut other_link = ArenaLink::new();
+        let succ_free = other.intern(&spec.sig().ff());
+        let id2 = other.intern(&t);
+        let hit = memo.get(&mut other_link, &mut other, id2).unwrap();
+        assert_ne!(hit, succ_free);
+        assert_eq!(other.to_term(hit), spec.sig().tt());
+        assert_eq!(memo.hits(), 2);
     }
 
     #[test]

@@ -20,28 +20,49 @@
 //!   the matched subject fragments outright; no subtree is ever copied
 //!   to be substituted.
 //!
-//! The arena is run-local: ids never escape a [`Rewriter::run`] call
-//! (normal forms are converted back to [`Term`] at the boundary), so the
-//! rewriter stays `Sync` without any locking on the evaluation path, and
+//! The arena is run-local: run ids never escape a normalization, so the
+//! rewriter stays `Sync` without any locking while rules fire, and
 //! observable behaviour — normal forms, step counts, traces, exhaustion
 //! receipts — is byte-identical to the tree-walking evaluator it
-//! replaced.
+//! replaced. Terms leave the run either as [`Term`]s (the tree API) or
+//! by id translation through an [`ArenaLink`] (the session API and the
+//! memo).
 //!
-//! # The session surface
+//! # The memo and the session surface
+//!
+//! The cross-run memo is an [`NfMemo`]: one long-lived arena plus a table
+//! from the id of a ground application to the id of its normal form. Each
+//! run keeps one [`ArenaLink`] to it, so a lookup translates only subject
+//! nodes the run has not translated before (under the memo's read lock),
+//! a hit imports the stored normal form by id, and an insert interns only
+//! the nodes the memo arena lacks (under its write lock). Only
+//! applications evaluated outside assumption contexts and traces are
+//! keys, so the memo never changes a normal form, a step count of a cold
+//! run, or a trace.
+//!
+//! Memo soundness is about indices: the memo's ids stand for ground terms
+//! built from operation and sort indices, so two rewriters may share one
+//! memo only if their rules agree and their signatures give the same
+//! indices to the same operations and sorts. A signature extended with
+//! variables only (consistency's renamed pair spec, the representation
+//! proof's case splits) qualifies; induction, which mints operations and
+//! adds hypothesis rules, keeps a memo-less rewriter.
 //!
 //! A [`Session`] owns the cross-check shared state (spec, compiled rules,
-//! a long-lived arena, the sharded memo). [`Rewriter::for_session`] builds
-//! a rewriter that *borrows* all of it, and the id-native entry points
-//! ([`normalize_id`], [`normalize_ids`], [`Rewriter::normalize_id`])
-//! accept and return session [`TermId`]s, so callers can hold interned
-//! handles end-to-end and only materialize trees when a report needs one.
+//! and an [`NfMemo`] whose arena is the session arena).
+//! [`Rewriter::for_session`] builds a rewriter that *borrows* all of it,
+//! and the id-native entry points ([`normalize_id`], [`normalize_ids`],
+//! [`Rewriter::normalize_id`]) accept and return session [`TermId`]s, so
+//! callers can hold interned handles end-to-end and only materialize
+//! trees when a report needs one.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use adt_core::{
-    ExhaustionCause, Fuel, FuelSpent, OpId, Session, ShardedMemo, SortId, Spec, Supervisor, Term,
-    TermArena, TermId, TermNode, VarId,
+    ArenaLink, ExhaustionCause, Fuel, FuelSpent, NfMemo, OpId, Session, SortId, Spec, Supervisor,
+    Term, TermArena, TermId, TermNode, VarId,
 };
 
 use crate::error::RewriteError;
@@ -253,15 +274,17 @@ impl EvalState {
 #[derive(Debug, Clone)]
 pub struct Rewriter<'a> {
     spec: &'a Spec,
-    rules: RuleSet,
+    /// Borrowed from a [`Session`] by [`Rewriter::for_session`]; copied
+    /// only if [`Rewriter::add_rule`] extends it.
+    rules: Cow<'a, RuleSet>,
     budget: Fuel,
-    /// The cross-run ground-term memo ([`adt_core::ShardedMemo`] — it
-    /// lives in `adt-core` so a [`Session`] can own it). Held behind an
-    /// `Arc`: cloning a memoizing rewriter *shares* the memo (clones are
-    /// how callers derive same-rules variants, e.g. with a different
-    /// budget, and facts stay valid across those), and
-    /// [`Rewriter::for_session`] shares the session's memo the same way.
-    memo: Option<Arc<ShardedMemo>>,
+    /// The cross-run ground-term memo ([`adt_core::NfMemo`] — it lives in
+    /// `adt-core` so a [`Session`] can own it). Held behind an `Arc`:
+    /// cloning a memoizing rewriter *shares* the memo (clones are how
+    /// callers derive same-rules variants, e.g. with a different budget,
+    /// and facts stay valid across those), and [`Rewriter::for_session`]
+    /// shares the session's memo the same way.
+    memo: Option<Arc<NfMemo>>,
     /// Cooperative supervision (deadline/cancellation), polled by every
     /// normalization this rewriter runs. Inert by default.
     supervisor: Supervisor,
@@ -286,6 +309,9 @@ struct InternedRule {
 /// guarantee ids never leak between runs.
 struct RunCx {
     arena: TermArena,
+    /// Translations between `arena` and the rewriter's memo arena, so
+    /// memo lookups and inserts cross by id (unused without a memo).
+    link: ArenaLink,
     /// The interned boolean constants: deciding a condition is an id
     /// compare against these.
     tt: TermId,
@@ -311,6 +337,7 @@ impl RunCx {
         let ff = arena.intern(&spec.sig().ff());
         RunCx {
             arena,
+            link: ArenaLink::new(),
             tt,
             ff,
             rules: Vec::new(),
@@ -425,7 +452,7 @@ impl<'a> Rewriter<'a> {
     pub fn new(spec: &'a Spec) -> Self {
         Rewriter {
             spec,
-            rules: RuleSet::from_spec(spec),
+            rules: Cow::Owned(RuleSet::from_spec(spec)),
             budget: Fuel::default(),
             memo: None,
             supervisor: Supervisor::none(),
@@ -437,7 +464,7 @@ impl<'a> Rewriter<'a> {
     pub fn with_rules(spec: &'a Spec, rules: RuleSet) -> Self {
         Rewriter {
             spec,
-            rules,
+            rules: Cow::Owned(rules),
             budget: Fuel::default(),
             memo: None,
             supervisor: Supervisor::none(),
@@ -445,14 +472,14 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Creates a rewriter that borrows a [`Session`]'s world: its spec,
-    /// a copy of its compiled rules, and (shared, not copied) its
-    /// cross-run memo. This is the constructor that makes
-    /// [`Rewriter::normalize_id`] eligible to record into the session's
-    /// normal-form cache — the rules are the session's by construction.
+    /// its compiled rules, and (shared, not copied) its cross-run memo.
+    /// This is the constructor that makes [`Rewriter::normalize_id`]
+    /// eligible to record into the session's normal-form cache — the
+    /// rules are the session's by construction.
     pub fn for_session(session: &'a Session) -> Self {
         Rewriter {
             spec: session.spec(),
-            rules: session.rules().clone(),
+            rules: Cow::Borrowed(session.rules()),
             budget: Fuel::default(),
             memo: Some(Arc::clone(session.memo())),
             supervisor: Supervisor::none(),
@@ -462,12 +489,12 @@ impl<'a> Rewriter<'a> {
     /// Attaches an existing cross-run memo (shared, not copied).
     ///
     /// Sharing a memo between rewriters is sound only when their rule
-    /// sets agree and their signatures assign the same [`OpId`] indices
-    /// to the same operations (the memo is keyed by structural hashes,
-    /// which bake in op indices). Extending a signature with variables
+    /// sets agree and their signatures assign the same [`OpId`] (and sort)
+    /// indices to the same operations (the memo's ids stand for terms
+    /// built from those indices). Extending a signature with variables
     /// only preserves both; minting operations or adding rules does not.
     #[must_use]
-    pub fn with_memo(mut self, memo: Arc<ShardedMemo>) -> Self {
+    pub fn with_memo(mut self, memo: Arc<NfMemo>) -> Self {
         self.memo = Some(memo);
         self
     }
@@ -482,16 +509,16 @@ impl<'a> Rewriter<'a> {
     /// re-derivation pattern of observers like `FRONT` into near-linear
     /// work — measured by the `memoization` benchmark.
     ///
-    /// The cache is a sharded, mutex-guarded map keyed by the
-    /// arena-independent structural hash, so a memoizing rewriter is
-    /// `Sync`: the parallel checking engine shares one rewriter (and one
-    /// cache) across its worker threads, and facts learned in one run's
-    /// arena are found from every other run. Clones of a memoizing
-    /// rewriter share the same memo (see [`Rewriter::with_memo`] for the
-    /// sharing rules).
+    /// The cache is a private [`NfMemo`]: an arena of its own plus an
+    /// id-keyed normal-form table behind one `RwLock`, so a memoizing
+    /// rewriter is `Sync`: the parallel checking engine shares one
+    /// rewriter (and one cache) across its worker threads, and facts
+    /// learned in one run are found from every other run. Clones of a
+    /// memoizing rewriter share the same memo (see
+    /// [`Rewriter::with_memo`] for the sharing rules).
     #[must_use]
     pub fn memoizing(mut self) -> Self {
-        self.memo = Some(Arc::new(ShardedMemo::new()));
+        self.memo = Some(Arc::new(NfMemo::new()));
         self
     }
 
@@ -533,7 +560,7 @@ impl<'a> Rewriter<'a> {
 
     /// Adds an extra rule (tried after earlier rules with the same head).
     pub fn add_rule(&mut self, rule: Rule) {
-        self.rules.add(rule);
+        self.rules.to_mut().add(rule);
     }
 
     /// The rule set in use.
@@ -570,13 +597,13 @@ impl<'a> Rewriter<'a> {
     /// Normalizes a session-interned term, returning the session id of
     /// its normal form.
     ///
-    /// The session's id-keyed normal-form cache is consulted first (a
+    /// The session's id-keyed root-query cache is consulted first (a
     /// hit costs one map probe, no evaluation, and no fuel); on a miss
-    /// the term is materialized under the session's read lock, run
-    /// through the ordinary hot path — a run-local arena plus the
-    /// session's shared cross-run memo, if this rewriter carries it —
-    /// and the normal form is interned back and recorded, along with
-    /// the step count, in the session's counters.
+    /// the term is imported by id into a run-local arena, run through
+    /// the ordinary hot path — plus the session's shared cross-run memo,
+    /// if this rewriter carries it — and the normal form is exported
+    /// back by id and recorded, along with the step count, in the
+    /// session's counters. No [`Term`] tree is built on either side.
     ///
     /// **Contract:** this rewriter's rules must equal the session's
     /// (guaranteed by [`Rewriter::for_session`]); otherwise the recorded
@@ -594,11 +621,19 @@ impl<'a> Rewriter<'a> {
         if let Some(nf) = session.cached_nf(id) {
             return Ok(nf);
         }
-        let term = session.term(id);
-        let (norm, _) = self.run(&term, None, &[])?;
-        let nf = session.intern(&norm.term);
+        let target = session.memo();
+        let mut st = EvalState::new(&self.budget, self.supervisor.clone(), None);
+        let mut cx = RunCx::new(self.spec);
+        // A rewriter carrying the session's memo translates through the
+        // run's own link, so the query's nodes are known to the memo
+        // probes for free; any other rewriter needs a separate link.
+        let shared = self.memo.as_ref().is_some_and(|m| Arc::ptr_eq(m, target));
+        let mut separate = (!shared).then(ArenaLink::new);
+        let root = target.import(separate.as_mut().unwrap_or(&mut cx.link), &mut cx.arena, id);
+        let nf = self.eval(&mut cx, root, &mut st, &Vec::new())?;
+        let nf = target.export(separate.as_mut().unwrap_or(&mut cx.link), &cx.arena, nf);
         session.record_nf(id, nf);
-        session.note_normalization(norm.steps);
+        session.note_normalization(st.steps);
         Ok(nf)
     }
 
@@ -772,16 +807,15 @@ impl<'a> Rewriter<'a> {
             }
         }
         // Ground-subterm memoization (see `memoizing`): only applications
-        // are worth caching. Groundness is a cached bit, so the probe
-        // costs one hash lookup instead of a tree walk.
+        // are worth caching. Groundness is a cached bit; the probe
+        // translates only nodes this run has not translated before.
         let memo_key = match &self.memo {
             Some(memo)
                 if cacheable
                     && matches!(cx.arena.node(id), TermNode::App(_, _))
                     && cx.arena.is_ground(id) =>
             {
-                if let Some(hit) = memo.get(&cx.arena, id) {
-                    let nf = cx.arena.intern(&hit);
+                if let Some(nf) = memo.get(&mut cx.link, &mut cx.arena, id) {
                     cx.record_nf(id, nf);
                     return Ok(nf);
                 }
@@ -798,7 +832,7 @@ impl<'a> Rewriter<'a> {
             cx.record_nf(result, result);
         }
         if let (Some(memo), Some(key)) = (&self.memo, memo_key) {
-            memo.insert(&cx.arena, key, result);
+            memo.insert(&mut cx.link, &cx.arena, key, result);
         }
         Ok(result)
     }
@@ -1039,9 +1073,8 @@ fn first_stuck_cond(term: &Term) -> Option<&Term> {
 /// session id of the normal form.
 ///
 /// Convenience wrapper over [`Rewriter::for_session`] +
-/// [`Rewriter::normalize_id`]; callers issuing many calls should build
-/// the rewriter once (or use [`normalize_ids`]) to amortize the rule-set
-/// copy.
+/// [`Rewriter::normalize_id`] (the rewriter borrows the session's rules,
+/// so building one per call is cheap).
 ///
 /// # Errors
 ///

@@ -1,10 +1,12 @@
-//! Thread-safety stress tests for the sharded rewrite memo: many threads
+//! Thread-safety stress tests for the id-keyed rewrite memo: many threads
 //! normalizing through one shared memoizing [`Rewriter`] must produce
 //! exactly the normal forms the sequential engine produces, with no
 //! deadlock — the property the parallel checking engine relies on when it
-//! shares a rewriter across its worker pool.
+//! shares a rewriter across its worker pool. Also: the session table
+//! under concurrent interning, isolation between memos, and terms far
+//! deeper than the native stack crossing the memo boundary.
 
-use adt_core::DetRng;
+use adt_core::{DetRng, Fuel, Session};
 use adt_rewrite::Rewriter;
 use adt_structures::specs::{queue_spec, symboltable_spec};
 
@@ -132,4 +134,179 @@ fn memoized_results_stay_correct_after_concurrent_warmup() {
         }
     });
     assert_eq!(memo.normalize(&front).unwrap(), want);
+}
+
+#[test]
+fn session_table_exports_race_main_thread_interning() {
+    // Pool workers normalize by id through the session table (exporting
+    // facts into the session arena) while the main thread keeps interning
+    // unrelated terms into the same arena. Every normal form must match
+    // the sequential engine, and every id the main thread got must still
+    // denote its term afterwards.
+    let spec = queue_spec();
+    let sig = spec.sig();
+    let mut rng = DetRng::new(0x5E55);
+    let mut terms = Vec::new();
+    for _ in 0..32 {
+        let adds = 1 + rng.below(20);
+        let removes = rng.below(adds);
+        let state = queue_term(&spec, adds, removes, &mut rng);
+        let op = ["FRONT", "IS_EMPTY?", "REMOVE"][rng.below(3)];
+        terms.push(sig.apply(op, vec![state]).unwrap());
+    }
+    let plain = Rewriter::new(&spec).with_fuel(1_000_000_000);
+    let expected: Vec<_> = terms.iter().map(|t| plain.normalize(t).unwrap()).collect();
+
+    let session = Session::new(spec.clone());
+    let ids: Vec<_> = terms.iter().map(|t| session.intern(t)).collect();
+    let mut noise = Vec::new();
+    std::thread::scope(|scope| {
+        for offset in 0..4 {
+            let (session, ids) = (&session, &ids);
+            scope.spawn(move || {
+                let rw = Rewriter::for_session(session).with_fuel(1_000_000_000);
+                (0..ids.len())
+                    .map(|k| {
+                        let idx = (k * (2 * offset + 1) + offset) % ids.len();
+                        (idx, rw.normalize_id(session, ids[idx]).unwrap())
+                    })
+                    .collect::<Vec<_>>()
+            });
+        }
+        let mut noise_rng = DetRng::new(99);
+        for _ in 0..200 {
+            let t = queue_term(&spec, 1 + noise_rng.below(40), 0, &mut noise_rng);
+            noise.push((session.intern(&t), t));
+        }
+    });
+    for (idx, want) in expected.iter().enumerate() {
+        let nf = Rewriter::for_session(&session)
+            .normalize_id(&session, ids[idx])
+            .unwrap();
+        assert_eq!(&session.term(nf), want, "term {idx}");
+    }
+    for (id, t) in &noise {
+        assert!(session.term_eq(*id, t));
+    }
+    assert!(session.stats().memo_entries > 0);
+}
+
+#[test]
+fn facts_never_cross_memos_or_sessions() {
+    let spec = queue_spec();
+    let sig = spec.sig();
+    let mut rng = DetRng::new(11);
+    let front = sig
+        .apply("FRONT", vec![queue_term(&spec, 24, 3, &mut rng)])
+        .unwrap();
+    let cold = Rewriter::new(&spec).normalize_full(&front).unwrap();
+    assert!(cold.steps > 0);
+
+    // Two memoizing rewriters: the second is as cold as a plain one,
+    // while a clone of the first shares its facts.
+    let first = Rewriter::new(&spec).memoizing();
+    assert_eq!(first.normalize_full(&front).unwrap(), cold);
+    assert_eq!(first.clone().normalize_full(&front).unwrap().steps, 0);
+    let second = Rewriter::new(&spec).memoizing();
+    assert_eq!(second.normalize_full(&front).unwrap(), cold);
+
+    // Two sessions: warming one leaves the other's table empty.
+    let warm = Session::new(spec.clone());
+    let id = warm.intern(&front);
+    let nf = Rewriter::for_session(&warm)
+        .normalize_id(&warm, id)
+        .unwrap();
+    assert_eq!(warm.term(nf), cold.term);
+    assert!(warm.stats().memo_entries > 0);
+    let other = Session::new(spec.clone());
+    assert_eq!(other.stats().memo_entries, 0);
+    let rw = Rewriter::for_session(&other);
+    let norm = rw.normalize_full(&front).unwrap();
+    assert_eq!(norm, cold, "a fresh session replays nothing");
+    assert_eq!(other.stats().memo_hits, 0);
+    // A memoizing rewriter normalizing by id into a session keeps its
+    // private facts out of the session table, and vice versa.
+    let private = Rewriter::new(&spec).memoizing();
+    let third = Session::new(spec.clone());
+    let id3 = third.intern(&front);
+    let nf3 = private.normalize_id(&third, id3).unwrap();
+    assert_eq!(third.term(nf3), cold.term);
+    assert_eq!(third.stats().memo_entries, 0);
+    assert_eq!(private.normalize_full(&front).unwrap().steps, 0);
+}
+
+#[test]
+fn deep_ground_queues_cross_the_memo_boundary_without_native_recursion() {
+    // A 50k-deep queue. The evaluator recurses once per level, so the
+    // session table is warmed in 5000-level chunks, each bottoming out in
+    // the previous chunk's memo hit under a depth cap raised just past
+    // the chunk; that, and building and dropping the input `Term`s (whose
+    // clone and drop recurse), runs on a thread with a large stack. The
+    // final queries then move whole 50k-deep terms across the boundary —
+    // query import, probe, hit import, normal-form export — on a thread
+    // with a small stack, where any native recursion over the term would
+    // overflow.
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            use adt_core::Term;
+            let spec = queue_spec();
+            let sig = spec.sig();
+            let (n, chunk) = (50_000, 5_000);
+            let add = sig.find_op("ADD").unwrap();
+            let remove = sig.find_op("REMOVE").unwrap();
+            let is_empty = sig.find_op("IS_EMPTY?").unwrap();
+            let items = [
+                Term::constant(sig.find_op("A").unwrap()),
+                Term::constant(sig.find_op("B").unwrap()),
+            ];
+            let budget = Fuel::default().with_max_depth(chunk + 64);
+            let session = Session::new(spec.clone());
+            let rw = Rewriter::for_session(&session).with_budget(budget);
+            // Raw construction: `Signature::apply` sort-checks recursively.
+            let mut state = Term::constant(sig.find_op("NEW").unwrap());
+            let mut rest = state.clone();
+            for k in 0..n {
+                state = Term::App(add, vec![state, items[k % 2].clone()]);
+                if k > 0 {
+                    rest = Term::App(add, vec![rest, items[k % 2].clone()]);
+                }
+                if (k + 1) % chunk == 0 {
+                    rw.normalize(&Term::App(remove, vec![state.clone()]))
+                        .unwrap();
+                }
+            }
+            let query = Term::App(remove, vec![state]);
+            let outer = Term::App(is_empty, vec![query.clone()]);
+            let other = Session::new(spec.clone());
+
+            std::thread::scope(|scope| {
+                std::thread::Builder::new()
+                    .stack_size(1 << 20)
+                    .spawn_scoped(scope, || {
+                        // Into another session through this table: the
+                        // query is imported by the rewriter's own link for
+                        // that session, probed and hit in the table, the
+                        // normal form imported, and the 50k-deep result
+                        // exported into a session holding none of it.
+                        let nf = rw.normalize_id(&other, other.intern(&query)).unwrap();
+                        assert!(other.term_eq(nf, &rest));
+                        assert_eq!(other.stats().rewrite_steps, 0);
+                        assert_eq!(other.stats().memo_entries, 0);
+
+                        // In the table's own session: a new root whose
+                        // argument's normal form is imported on a hit, so
+                        // only IS_EMPTY? fires.
+                        let answer = rw.normalize_id(&session, session.intern(&outer)).unwrap();
+                        assert_eq!(session.term(answer), sig.ff());
+                        assert_eq!(session.stats().rewrite_steps, 1);
+                    })
+                    .expect("spawns")
+                    .join()
+                    .expect("memo traffic must not recurse over the term");
+            });
+        })
+        .expect("spawns")
+        .join()
+        .expect("deep memo traffic must not overflow the stack");
 }

@@ -132,9 +132,9 @@ pub fn check_representation(
 /// versa).
 ///
 /// The session must have been built over the same specification the
-/// model implements: the memo is keyed by structural hashes, which bake
-/// in operation indices, so mixing signatures would cross facts between
-/// unrelated terms. The report is identical to a fresh
+/// model implements: the memo's ids stand for terms built from operation
+/// indices, so mixing signatures would cross facts between unrelated
+/// terms. The report is identical to a fresh
 /// [`check_representation`] run — a warm memo changes how fast a normal
 /// form is found, never which one.
 pub fn check_representation_session(

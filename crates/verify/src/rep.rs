@@ -319,10 +319,10 @@ pub fn verify_obligation(
 /// were translated into — build it with `Session::new(ext)` from the
 /// extension [`translate_obligations`] returns. Sharing the memo down
 /// the recursion is sound because [`instantiate_case`] extends the
-/// signature with fresh *variables* only: the operation indices (which
-/// the memo's structural hashes bake in) and the axiom set are unchanged
-/// at every depth, so every rewriter in the proof computes the same
-/// rewrite relation over the same hashes. Contrast
+/// signature with fresh *variables* only: the operation and sort indices
+/// (from which the ground terms behind the memo's ids are built) and the
+/// axiom set are unchanged at every depth, so every rewriter in the proof
+/// computes the same rewrite relation over the same terms. Contrast
 /// [`crate::induction::prove_by_induction`], which adds
 /// induction-hypothesis *rules* per case and therefore must not share a
 /// memo.

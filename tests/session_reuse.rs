@@ -7,9 +7,11 @@
 
 use adt_check::{
     check_completeness_session, check_completeness_with_config, check_consistency_session,
-    check_consistency_with_config, CheckConfig, CompletenessReport, ConsistencyReport, ProbeConfig,
+    check_consistency_with_config, probe_terms, CheckConfig, CompletenessReport, ConsistencyReport,
+    ProbeConfig,
 };
 use adt_core::Session;
+use adt_rewrite::Rewriter;
 use adt_structures::sources;
 use adt_verify::{differential_spec_check, differential_spec_check_session, DifferentialConfig};
 
@@ -136,4 +138,39 @@ fn a_reused_session_accumulates_monotone_telemetry() {
         gappy_session.stats().interned_terms > 0,
         "missing-case witnesses were not interned"
     );
+}
+
+#[test]
+fn a_warm_session_table_agrees_with_the_reference_engine_on_every_probe() {
+    // The consistency check fills the session's normal-form table from
+    // its renamed pair spec (a vars-only extension) and from its probes.
+    // Every probe term normalized afterwards through that warm table —
+    // by id, importing stored normal forms — must equal the tree-walking
+    // reference engine's answer.
+    let probe = ProbeConfig::default();
+    for (name, source) in sources::all() {
+        let spec =
+            adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
+        let session = Session::new(spec.clone());
+        check_consistency_session(&session, &probe, &CheckConfig::jobs(2));
+        let warm = session.stats();
+        let reference = Rewriter::new(&spec);
+        let rw = Rewriter::for_session(&session);
+        for term in probe_terms(&spec, &probe) {
+            let want = reference.normalize_reference(&term).map(|n| n.term);
+            let got = rw
+                .normalize_id(&session, session.intern(&term))
+                .map(|nf| session.term(nf));
+            assert_eq!(got.is_ok(), want.is_ok(), "{name}: {term:?}");
+            if let (Ok(got), Ok(want)) = (got, want) {
+                assert_eq!(got, want, "{name}: {term:?}");
+            }
+        }
+        if warm.memo_entries > 0 {
+            assert!(
+                session.stats().memo_hits > warm.memo_hits,
+                "{name}: the probes never hit the warm table"
+            );
+        }
+    }
 }
