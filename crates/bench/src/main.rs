@@ -2,7 +2,8 @@
 //! committed `BENCH_rewrite.json`.
 //!
 //! Measures a curated subset of the `benches/` workloads (memoization,
-//! rewrite_queue, checker_scaling — all deterministic, seed 7) and emits
+//! rewrite_queue, checker_scaling, session_reuse, retry_ladder and
+//! representation_proof — all deterministic, seed 7) and emits
 //! the medians as machine-readable JSON. CI runs this with `--quick
 //! --baseline BENCH_rewrite.json` to catch >2× regressions; the
 //! committed baseline itself is produced with `--merge-before` so it
@@ -22,7 +23,11 @@ use adt_bench::workloads::{queue_term, synthetic_spec, with_twin_axioms};
 use adt_check::{check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig};
 use adt_core::{Deadline, Session, Supervisor};
 use adt_rewrite::{classify_superposition, superpositions, Rewriter};
-use adt_structures::specs::queue_spec;
+use adt_structures::models::fifo_model;
+use adt_structures::specs::{queue_spec, symboltable_spec, symtab_rep_op_map, symtab_rep_spec};
+use adt_verify::{
+    differential_check, translate_obligations, verify_obligation, DifferentialConfig, ProofConfig,
+};
 
 const USAGE: &str = "\
 usage: adt-bench [options]
@@ -423,6 +428,55 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
         );
         push("retry_ladder", "right_sized/front96", sized);
         push("retry_ladder", "rescue_two_pass/front96", rescued);
+    }
+
+    // representation_proof: the §4 development the repo benchmark's
+    // verify_symtab workload times, minus its bounded axiom check. The
+    // proof row proves all 18 Symboltable obligations under Assumption 1
+    // and checks that the two conditional axioms (6 and 9) fail without
+    // it; every normalization there is small, so fixed per-run costs
+    // dominate. The differential row runs `differential_check` (parallel
+    // vs sequential checking, rewriting vs the FIFO model) on the Queue.
+    {
+        let g = group("representation_proof");
+        let (ext, obligations) = translate_obligations(
+            &symboltable_spec(),
+            &symtab_rep_spec(),
+            &symtab_rep_op_map(),
+            Some("PHI"),
+        )
+        .expect("translates");
+        let assumption_1 = ProofConfig::default().restrict("Stack", &["PUSH"]);
+        let plain = ProofConfig::default();
+        push(
+            "representation_proof",
+            "obligations/symtab18",
+            g.bench("obligations/symtab18", || {
+                let mut proved = 0usize;
+                for ob in std::hint::black_box(&obligations) {
+                    let outcome = verify_obligation(&ext, ob, &assumption_1).expect("proves");
+                    proved += usize::from(outcome.is_proved());
+                    if ob.label == "6" || ob.label == "9" {
+                        let outcome = verify_obligation(&ext, ob, &plain).expect("runs");
+                        let label = &ob.label;
+                        assert!(!outcome.is_proved(), "axiom {label} needs Assumption 1");
+                    }
+                }
+                assert_eq!(proved, 18);
+                proved
+            }),
+        );
+        let model = fifo_model(&spec);
+        let diff_cfg = DifferentialConfig::default();
+        push(
+            "representation_proof",
+            "differential/queue_fifo",
+            g.bench("differential/queue_fifo", || {
+                let report = differential_check(&model, std::hint::black_box(&diff_cfg));
+                assert!(report.passed(), "{}", report.render());
+                report.terms_tested
+            }),
+        );
     }
 
     // Comparison rows carry their counterpart's median as `before_ns`, so

@@ -5,8 +5,6 @@
 //! the signature and the term arena: every engine borrowing the session
 //! then shares one compilation instead of re-deriving it per check.
 
-use std::collections::HashMap;
-
 use crate::{Axiom, OpId, Signature, Spec, Term};
 
 /// One left-to-right rewrite rule derived from an axiom (or added
@@ -71,6 +69,11 @@ impl From<&Axiom> for Rule {
 /// operation of their left-hand sides so the engine only tries rules that
 /// can possibly match.
 ///
+/// The index is dense — one slot per operation index up to the largest
+/// head seen — so the engine's per-application rule lookup is an array
+/// read, and the rewriter matches these rules directly, with no per-run
+/// compilation.
+///
 /// Iteration order never depends on hashing: [`RuleSet::iter`] yields
 /// rules in insertion order, and [`RuleSet::for_head`] yields one head's
 /// rules in insertion order, so everything enumerated from a rule set
@@ -79,7 +82,9 @@ impl From<&Axiom> for Rule {
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
-    by_head: HashMap<OpId, Vec<usize>>,
+    /// `by_head[op.index()]`: insertion indices of the rules headed by
+    /// `op`, ascending.
+    by_head: Vec<Vec<usize>>,
 }
 
 impl RuleSet {
@@ -99,10 +104,11 @@ impl RuleSet {
 
     /// Adds a rule. Rules for the same head are tried in insertion order.
     pub fn add(&mut self, rule: Rule) {
-        self.by_head
-            .entry(rule.head())
-            .or_default()
-            .push(self.rules.len());
+        let head = rule.head().index();
+        if self.by_head.len() <= head {
+            self.by_head.resize_with(head + 1, Vec::new);
+        }
+        self.by_head[head].push(self.rules.len());
         self.rules.push(rule);
     }
 
@@ -115,7 +121,7 @@ impl RuleSet {
     /// The insertion indices (positions in [`RuleSet::as_slice`]) of the
     /// rules headed by `op`, ascending.
     pub fn head_indices(&self, op: OpId) -> &[usize] {
-        self.by_head.get(&op).map(Vec::as_slice).unwrap_or(&[])
+        self.by_head.get(op.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Every rule, in insertion order.
@@ -151,7 +157,12 @@ impl RuleSet {
         let mut entries: Vec<_> = self
             .by_head
             .iter()
-            .map(|(op, indices)| format!("{}:{}", sig.op(*op).name(), indices.len()))
+            .enumerate()
+            .filter(|(_, indices)| !indices.is_empty())
+            .map(|(op, indices)| {
+                let name = sig.op(OpId::from_index(op)).name();
+                format!("{name}:{}", indices.len())
+            })
             .collect();
         entries.sort();
         entries.join(", ")

@@ -14,8 +14,8 @@
 //!   merging, and nonlinear pattern occurrences cost a `u32` compare
 //!   instead of a tree walk;
 //! * **O(1) groundness and depth** — both are computed once per node at
-//!   interning time and cached, so the memo probe and the instantiation
-//!   shortcut read a bit instead of traversing;
+//!   interning time and cached, so the memo probe reads a bit instead of
+//!   traversing;
 //! * **allocation-free sharing** — a rule's contractum reuses the ids of
 //!   the matched subject fragments outright; no subtree is ever copied
 //!   to be substituted.
@@ -27,6 +27,18 @@
 //! replaced. Terms leave the run either as [`Term`]s (the tree API) or
 //! by id translation through an [`ArenaLink`] (the session API and the
 //! memo).
+//!
+//! # Rules are not interned per run
+//!
+//! Only subjects live in the run arena. Rules stay as the [`RuleSet`]
+//! holds them — [`Term`] trees, found through its dense head index — and
+//! are matched directly: a pattern is walked as a tree against a subject
+//! id, binding variables to ids, and a template is built straight into
+//! the run arena. Both walks are bounded by the axiom, never by the
+//! subject, so nothing about a rule has to be compiled before a run can
+//! use it. A rewriter borrowing its rules ([`Rewriter::for_session`],
+//! [`Rewriter::with_borrowed_rules`]) therefore starts a normalization
+//! with no per-rule work at all.
 //!
 //! # The memo and the session surface
 //!
@@ -290,23 +302,16 @@ pub struct Rewriter<'a> {
     supervisor: Supervisor,
 }
 
-/// A rule whose sides are interned into the run's arena, paired with its
-/// insertion index in the rewriter's [`RuleSet`] (trace labels are read
-/// back through the index, so no strings are copied).
-struct InternedRule {
-    lhs: TermId,
-    rhs: TermId,
-    index: usize,
-}
-
 /// Per-normalization working state: the arena all terms of this run live
-/// in, plus everything interned into it.
+/// in, plus the run's caches over it.
 ///
 /// A fresh context is built for every [`Rewriter::run`] call. Arenas are
 /// append-only and unsynchronized, so run-local contexts are what keep
 /// the rewriter `Sync` — the parallel checker shares one rewriter across
 /// its workers — with zero locks on the evaluation path, and what
-/// guarantee ids never leak between runs.
+/// guarantee ids never leak between runs. Rules are not part of the
+/// context: they are matched straight from the rewriter's [`RuleSet`],
+/// so building a context interns only the two boolean constants.
 struct RunCx {
     arena: TermArena,
     /// Translations between `arena` and the rewriter's memo arena, so
@@ -316,10 +321,6 @@ struct RunCx {
     /// compare against these.
     tt: TermId,
     ff: TermId,
-    /// Rules compiled per head operation, indexed by `OpId::index` and
-    /// populated lazily the first time that head is evaluated (most runs
-    /// touch a handful of the specification's operations).
-    rules: Vec<Option<Box<[InternedRule]>>>,
     /// Context-free evaluation results: `cache[id.index()]` is the
     /// normal form of `id`, filled in as subterms finish evaluating
     /// outside assumption contexts and traces. This is what makes
@@ -340,7 +341,6 @@ impl RunCx {
             link: ArenaLink::new(),
             tt,
             ff,
-            rules: Vec::new(),
             cache: Vec::new(),
         }
     }
@@ -358,80 +358,73 @@ impl RunCx {
     }
 }
 
-/// Matches an interned rule pattern against an interned subject.
+/// Matches a rule pattern, as the [`RuleSet`] holds it, against an
+/// interned subject.
 ///
-/// Bindings accumulate in a vector rather than a map: axiom patterns
-/// have a handful of variables, and a linear scan of `u32` pairs beats
-/// hashing. A nonlinear occurrence checks id equality — O(1) under
-/// hash-consing where the tree matcher re-walked the subject. Recursion
-/// is bounded by the *pattern* (axiom-sized), never by the subject.
+/// Variables bind to subject ids. Bindings accumulate in a vector rather
+/// than a map: axiom patterns have a handful of variables, and a linear
+/// scan of `u32` pairs beats hashing. A nonlinear occurrence checks id
+/// equality — O(1) under hash-consing where a tree matcher would re-walk
+/// the subject. Recursion is bounded by the *pattern* (axiom-sized),
+/// never by the subject.
 fn match_id(
     arena: &TermArena,
-    pattern: TermId,
+    pattern: &Term,
     subject: TermId,
     bindings: &mut Vec<(VarId, TermId)>,
 ) -> bool {
-    if pattern == subject && arena.is_ground(pattern) {
-        // Identical ids denote identical terms, and a ground pattern
-        // binds nothing — nothing further to check.
-        return true;
-    }
-    match (arena.node(pattern), arena.node(subject)) {
-        (TermNode::Var(v), _) => match bindings.iter().find(|(bound_var, _)| bound_var == v) {
+    match (pattern, arena.node(subject)) {
+        (Term::Var(v), _) => match bindings.iter().find(|(bound_var, _)| bound_var == v) {
             Some(&(_, bound)) => bound == subject,
             None => {
                 bindings.push((*v, subject));
                 true
             }
         },
-        (TermNode::Error(a), TermNode::Error(b)) => a == b,
-        (TermNode::App(f, ps), TermNode::App(g, ss)) => {
+        (Term::Error(a), TermNode::Error(b)) => a == b,
+        (Term::App(f, ps), TermNode::App(g, ss)) => {
             f == g
                 && ps.len() == ss.len()
                 && ps
                     .iter()
                     .zip(ss.iter())
-                    .all(|(&p, &s)| match_id(arena, p, s, bindings))
+                    .all(|(p, &s)| match_id(arena, p, s, bindings))
         }
-        (TermNode::Ite(pc, pt, pe), TermNode::Ite(sc, st, se)) => {
-            match_id(arena, *pc, *sc, bindings)
-                && match_id(arena, *pt, *st, bindings)
-                && match_id(arena, *pe, *se, bindings)
+        (Term::Ite(p), TermNode::Ite(sc, st, se)) => {
+            match_id(arena, &p.cond, *sc, bindings)
+                && match_id(arena, &p.then_branch, *st, bindings)
+                && match_id(arena, &p.else_branch, *se, bindings)
         }
         _ => false,
     }
 }
 
-/// Builds a contractum: the rule's right-hand side with bound variables
-/// replaced by the matched subject fragments.
+/// Builds a contractum straight into the run arena: the rule's
+/// right-hand side with bound variables replaced by the matched subject
+/// fragments.
 ///
-/// Ground template subtrees are returned as-is — under hash-consing the
-/// instantiation of a ground subtree *is* that subtree — so each step
-/// costs O(axiom), never O(subject): the bound fragments are shared by
-/// id, not copied. An unbound template variable instantiates to itself,
-/// mirroring `Subst::apply`. Recursion is bounded by the template.
-fn instantiate(arena: &mut TermArena, template: TermId, bindings: &[(VarId, TermId)]) -> TermId {
-    if arena.is_ground(template) {
-        return template;
-    }
-    match arena.node(template).clone() {
-        // Errors are ground, so the shortcut above already returned.
-        TermNode::Error(_) => template,
-        TermNode::Var(v) => bindings
-            .iter()
-            .find(|&&(bound_var, _)| bound_var == v)
-            .map_or(template, |&(_, bound)| bound),
-        TermNode::App(op, args) => {
+/// Bound fragments are shared by id, not copied, so each step costs
+/// O(axiom), never O(subject). An unbound template variable instantiates
+/// to itself, mirroring `Subst::apply`. Recursion is bounded by the
+/// template.
+fn instantiate(arena: &mut TermArena, template: &Term, bindings: &[(VarId, TermId)]) -> TermId {
+    match template {
+        Term::Var(v) => match bindings.iter().find(|(bound_var, _)| bound_var == v) {
+            Some(&(_, bound)) => bound,
+            None => arena.var(*v),
+        },
+        Term::Error(s) => arena.error(*s),
+        Term::App(op, args) => {
             let args = args
                 .iter()
-                .map(|&a| instantiate(arena, a, bindings))
+                .map(|a| instantiate(arena, a, bindings))
                 .collect();
-            arena.app(op, args)
+            arena.app(*op, args)
         }
-        TermNode::Ite(c, t, e) => {
-            let c = instantiate(arena, c, bindings);
-            let t = instantiate(arena, t, bindings);
-            let e = instantiate(arena, e, bindings);
+        Term::Ite(ite) => {
+            let c = instantiate(arena, &ite.cond, bindings);
+            let t = instantiate(arena, &ite.then_branch, bindings);
+            let e = instantiate(arena, &ite.else_branch, bindings);
             arena.ite(c, t, e)
         }
     }
@@ -477,11 +470,21 @@ impl<'a> Rewriter<'a> {
     /// eligible to record into the session's normal-form cache — the
     /// rules are the session's by construction.
     pub fn for_session(session: &'a Session) -> Self {
+        Rewriter::with_borrowed_rules(session.spec(), session.rules())
+            .with_memo(Arc::clone(session.memo()))
+    }
+
+    /// Creates a rewriter that borrows an already-compiled rule set
+    /// instead of deriving one from `spec` — e.g. one rule set shared by
+    /// every level of a case analysis whose specifications differ only in
+    /// their variables. The rules are copied only if
+    /// [`Rewriter::add_rule`] extends them.
+    pub fn with_borrowed_rules(spec: &'a Spec, rules: &'a RuleSet) -> Self {
         Rewriter {
-            spec: session.spec(),
-            rules: Cow::Borrowed(session.rules()),
+            spec,
+            rules: Cow::Borrowed(rules),
             budget: Fuel::default(),
-            memo: Some(Arc::clone(session.memo())),
+            memo: None,
             supervisor: Supervisor::none(),
         }
     }
@@ -981,46 +984,18 @@ impl<'a> Rewriter<'a> {
                     } else {
                         cx.arena.app(op, new_args)
                     };
-                    let op_index = op.index();
-                    if cx.rules.len() <= op_index {
-                        cx.rules.resize_with(op_index + 1, || None);
-                    }
-                    if cx.rules[op_index].is_none() {
-                        let all_rules = self.rules.as_slice();
-                        let compiled: Box<[InternedRule]> = self
-                            .rules
-                            .head_indices(op)
-                            .iter()
-                            .map(|&index| InternedRule {
-                                lhs: cx.arena.intern(all_rules[index].lhs()),
-                                rhs: cx.arena.intern(all_rules[index].rhs()),
-                                index,
-                            })
-                            .collect();
-                        cx.rules[op_index] = Some(compiled);
-                    }
-                    // Split borrows: the compiled rules (shared) and the
-                    // arena (mutable) are disjoint fields of the context.
-                    let RunCx { arena, rules, .. } = cx;
-                    let mut fired = None;
-                    if let Some(Some(compiled)) = rules.get(op_index) {
-                        for rule in compiled.iter() {
-                            bindings.clear();
-                            if match_id(arena, rule.lhs, subject, &mut bindings) {
-                                fired = Some(rule);
-                                break;
-                            }
-                        }
-                    }
+                    let fired = self.rules.for_head(op).find(|rule| {
+                        bindings.clear();
+                        match_id(&cx.arena, rule.lhs(), subject, &mut bindings)
+                    });
                     match fired {
                         Some(rule) => {
                             st.tick(&self.budget)?;
-                            let contractum = instantiate(arena, rule.rhs, &bindings);
+                            let contractum = instantiate(&mut cx.arena, rule.rhs(), &bindings);
                             if st.tracing() {
-                                let label = self.rules.as_slice()[rule.index].label();
-                                let redex = arena.to_term(subject);
-                                let contractum_term = arena.to_term(contractum);
-                                st.note(label, &redex, &contractum_term);
+                                let redex = cx.arena.to_term(subject);
+                                let contractum_term = cx.arena.to_term(contractum);
+                                st.note(rule.label(), &redex, &contractum_term);
                             }
                             current = contractum;
                         }

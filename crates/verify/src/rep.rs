@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use adt_core::{display, OpId, Session, SortId, Spec, Term, VarId};
+use adt_core::{display, NfMemo, OpId, RuleSet, Session, SortId, Spec, Term, VarId};
 use adt_rewrite::{Proof, Rewriter};
 
 use crate::induction::instantiate_case;
@@ -300,6 +300,11 @@ impl ObligationOutcome {
 
 /// Verifies one obligation over the combined specification.
 ///
+/// The specification's axioms are compiled into one rule set, which
+/// every level of the case analysis borrows: case splits extend the
+/// signature with variables only (see [`verify_obligation_session`]), so
+/// the rules are the same at every depth.
+///
 /// # Errors
 ///
 /// Returns a rewriting error (fuel exhaustion) if normalization fails.
@@ -308,22 +313,28 @@ pub fn verify_obligation(
     ob: &Obligation,
     cfg: &ProofConfig,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
+    let rules = RuleSet::from_spec(spec);
+    let cx = ProofCx {
+        rules: &rules,
+        memo: None,
+        cfg,
+    };
     let mut trail = Vec::new();
-    verify_rec(spec, None, &ob.lhs, &ob.rhs, cfg, cfg.case_depth, 1, &mut trail)
+    verify_rec(&cx, spec, &ob.lhs, &ob.rhs, cfg.case_depth, 1, &mut trail)
 }
 
-/// [`verify_obligation`] with every rewriter in the case analysis warmed
-/// by a shared [`Session`]'s memo.
+/// [`verify_obligation`] with every rewriter in the case analysis
+/// borrowing a shared [`Session`]'s rules and warmed by its memo.
 ///
 /// The session must hold the *combined* specification the obligations
 /// were translated into — build it with `Session::new(ext)` from the
-/// extension [`translate_obligations`] returns. Sharing the memo down
-/// the recursion is sound because [`instantiate_case`] extends the
-/// signature with fresh *variables* only: the operation and sort indices
-/// (from which the ground terms behind the memo's ids are built) and the
-/// axiom set are unchanged at every depth, so every rewriter in the proof
-/// computes the same rewrite relation over the same terms. Contrast
-/// [`crate::induction::prove_by_induction`], which adds
+/// extension [`translate_obligations`] returns. Sharing the rules and the
+/// memo down the recursion is sound because [`instantiate_case`] extends
+/// the signature with fresh *variables* only: the operation and sort
+/// indices (from which the ground terms behind the memo's ids are built)
+/// and the axiom set are unchanged at every depth, so every rewriter in
+/// the proof computes the same rewrite relation over the same terms.
+/// Contrast [`crate::induction::prove_by_induction`], which adds
 /// induction-hypothesis *rules* per case and therefore must not share a
 /// memo.
 ///
@@ -335,35 +346,43 @@ pub fn verify_obligation_session(
     ob: &Obligation,
     cfg: &ProofConfig,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
-    let mut trail = Vec::new();
-    verify_rec(
-        session.spec(),
-        Some(session),
-        &ob.lhs,
-        &ob.rhs,
+    let cx = ProofCx {
+        rules: session.rules(),
+        memo: Some(session.memo()),
         cfg,
-        cfg.case_depth,
-        1,
-        &mut trail,
-    )
+    };
+    let spec = session.spec();
+    let mut trail = Vec::new();
+    verify_rec(&cx, spec, &ob.lhs, &ob.rhs, cfg.case_depth, 1, &mut trail)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What every level of one obligation's case analysis shares.
+///
+/// [`instantiate_case`] extends the signature with variables only, so the
+/// rules compiled from the obligation's specification are the rules of
+/// every case split below it: each level borrows them rather than
+/// re-deriving them from its extended specification.
+struct ProofCx<'p> {
+    rules: &'p RuleSet,
+    /// The session memo, when proving through a [`Session`].
+    memo: Option<&'p Arc<NfMemo>>,
+    cfg: &'p ProofConfig,
+}
+
 fn verify_rec(
+    cx: &ProofCx<'_>,
     spec: &Spec,
-    session: Option<&Session>,
     lhs: &Term,
     rhs: &Term,
-    cfg: &ProofConfig,
     depth: usize,
     round: usize,
     trail: &mut Vec<String>,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
-    let mut rw = Rewriter::new(spec).with_fuel(cfg.fuel);
-    if let Some(session) = session {
-        rw = rw.with_memo(Arc::clone(session.memo()));
+    let mut rw = Rewriter::with_borrowed_rules(spec, cx.rules).with_fuel(cx.cfg.fuel);
+    if let Some(memo) = cx.memo {
+        rw = rw.with_memo(Arc::clone(memo));
     }
-    match rw.prove_equal(lhs, rhs, cfg.max_splits)? {
+    match rw.prove_equal(lhs, rhs, cx.cfg.max_splits)? {
         Proof::Proved { cases } => Ok(ObligationOutcome::Proved { cases }),
         Proof::Undecided {
             assumptions,
@@ -372,7 +391,7 @@ fn verify_rec(
         } => {
             if depth > 0 {
                 if let Some(var) = pick_split_var(spec, lhs, rhs) {
-                    return split_var(spec, session, lhs, rhs, var, cfg, depth, round, trail);
+                    return split_var(cx, spec, lhs, rhs, var, depth, round, trail);
                 }
             }
             Ok(ObligationOutcome::Failed {
@@ -390,18 +409,17 @@ fn verify_rec(
 
 #[allow(clippy::too_many_arguments)]
 fn split_var(
+    cx: &ProofCx<'_>,
     spec: &Spec,
-    session: Option<&Session>,
     lhs: &Term,
     rhs: &Term,
     var: VarId,
-    cfg: &ProofConfig,
     depth: usize,
     round: usize,
     trail: &mut Vec<String>,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
     let sort = spec.sig().var(var).sort();
-    let allowed = allowed_ctors(spec, sort, cfg);
+    let allowed = allowed_ctors(spec, sort, cx.cfg);
     let mut total = 0;
     for ctor in allowed {
         let (ext, subst) = instantiate_case(spec, var, ctor, round);
@@ -415,18 +433,9 @@ fn split_var(
                 subst.get(var).expect("case substitution binds var")
             )
         ));
-        // The extension added variables only (see the soundness note on
-        // `verify_obligation_session`), so the session memo stays valid.
-        let outcome = verify_rec(
-            &ext,
-            session,
-            &case_lhs,
-            &case_rhs,
-            cfg,
-            depth - 1,
-            round + 1,
-            trail,
-        )?;
+        // The extension added variables only (see `ProofCx`), so the
+        // shared rules and the session memo stay valid.
+        let outcome = verify_rec(cx, &ext, &case_lhs, &case_rhs, depth - 1, round + 1, trail)?;
         match outcome {
             ObligationOutcome::Proved { cases } => total += cases,
             failed @ ObligationOutcome::Failed { .. } => return Ok(failed),
