@@ -2,9 +2,9 @@
 //! committed `BENCH_rewrite.json`.
 //!
 //! Measures a curated subset of the `benches/` workloads (memoization,
-//! rewrite_queue, checker_scaling, session_reuse, retry_ladder and
-//! representation_proof — all deterministic, seed 7) and emits
-//! the medians as machine-readable JSON. CI runs this with `--quick
+//! rewrite_queue, checker_scaling, session_reuse, retry_ladder,
+//! representation_proof and dsl_frontend — all deterministic, seed 7) and
+//! emits the medians as machine-readable JSON. CI runs this with `--quick
 //! --baseline BENCH_rewrite.json` to catch >2× regressions; the
 //! committed baseline itself is produced with `--merge-before` so it
 //! carries the pre-arena medians alongside the current ones.
@@ -19,11 +19,15 @@ use std::time::Duration;
 
 use adt_bench::harness::Group;
 use adt_bench::report::{regressions, BenchRecord, BenchReport};
-use adt_bench::workloads::{queue_term, synthetic_spec, with_twin_axioms};
+use adt_bench::workloads::{
+    queue_term, symtab_term, symtab_trace, synthetic_spec, with_twin_axioms,
+};
 use adt_check::{check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig};
-use adt_core::{Deadline, Session, Supervisor};
+use adt_core::{display, Deadline, Session, Supervisor};
+use adt_dsl::{parse_module, parse_term_id};
 use adt_rewrite::{classify_superposition, superpositions, Rewriter};
 use adt_structures::models::fifo_model;
+use adt_structures::sources;
 use adt_structures::specs::{queue_spec, symboltable_spec, symtab_rep_op_map, symtab_rep_spec};
 use adt_verify::{
     differential_check, translate_obligations, verify_obligation, DifferentialConfig, ProofConfig,
@@ -477,6 +481,44 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                 report.terms_tested
             }),
         );
+    }
+
+    // dsl_frontend: the text-to-term path of a one-shot `adt eval`. The
+    // module row parses the Symboltable source to its AST; the term rows
+    // parse, lower and intern a deep query into a warm session (the
+    // arena already holds the term, so interning is a lookup and the
+    // row measures the front end itself).
+    {
+        let g = group("dsl_frontend");
+        push(
+            "dsl_frontend",
+            "parse_module/symboltable",
+            g.bench("parse_module/symboltable", || {
+                parse_module(std::hint::black_box(sources::SYMBOLTABLE)).expect("parses")
+            }),
+        );
+        let queue_session = Session::new(spec.clone());
+        let front = sig
+            .apply("FRONT", vec![queue_term(&spec, 128, 0, 7)])
+            .expect("well-sorted");
+        let front = display::term(sig, &front).to_string();
+        let symtab = symboltable_spec();
+        let (_, retrieves) = symtab_term(&symtab, &symtab_trace(96, 3, 7));
+        let retrieve = retrieves.last().expect("the trace has a RETRIEVE");
+        let retrieve = display::term(symtab.sig(), retrieve).to_string();
+        let symtab_session = Session::new(symtab);
+        for (name, session, text) in [
+            ("parse_term_id/front128", &queue_session, &front),
+            ("parse_term_id/retrieve96", &symtab_session, &retrieve),
+        ] {
+            push(
+                "dsl_frontend",
+                name,
+                g.bench(name, || {
+                    parse_term_id(session, std::hint::black_box(text)).expect("well-sorted")
+                }),
+            );
+        }
     }
 
     // Comparison rows carry their counterpart's median as `before_ns`, so

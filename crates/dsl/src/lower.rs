@@ -4,6 +4,16 @@
 //! genuinely bidirectional part is `error`: its sort comes from context
 //! (`FRONT(NEW) = error` gives it sort Item because the left-hand side has
 //! sort Item), exactly as in the paper's usage.
+//!
+//! Terms are lowered in a single bottom-up pass that returns each
+//! subterm's sort with it. Every node is sort-checked once, against what
+//! its context expects: a child has already been checked against the sort
+//! its position in the parent demands, so a node's own sort is read off
+//! its head (a variable's sort, an operation's result sort, a
+//! conditional's branch sort, the context's sort for `error`) and
+//! compared at the root. Lowering a term is therefore O(nodes), however
+//! deep it is; the validating [`Term::sort`] walk, which re-checks a whole
+//! subtree, is left to callers that receive hand-built terms.
 
 use adt_core::{Axiom, Signature, SortId, Spec, Term};
 
@@ -107,17 +117,10 @@ pub fn lower(module: &Module) -> Result<Spec, Diagnostics> {
     let mut axioms = Vec::new();
     for block in type_blocks(module) {
         for ax in &block.axioms {
-            let Some(lhs) = lower_term(&sig, &ax.lhs, None, &mut diags) else {
+            let Some((lhs, lhs_sort)) = lower_term(&sig, &ax.lhs, None, &mut diags) else {
                 continue;
             };
-            let lhs_sort = match lhs.sort(&sig) {
-                Ok(s) => s,
-                Err(e) => {
-                    diags.error(ax.lhs.span(), e.to_string());
-                    continue;
-                }
-            };
-            let Some(rhs) = lower_term(&sig, &ax.rhs, Some(lhs_sort), &mut diags) else {
+            let Some((rhs, _)) = lower_term(&sig, &ax.rhs, Some(lhs_sort), &mut diags) else {
                 continue;
             };
             let axiom = Axiom::new(ax.label.clone(), lhs, rhs);
@@ -161,7 +164,7 @@ pub fn lower_term_in(
 ) -> Result<Term, Diagnostics> {
     let mut diags = Diagnostics::new();
     match lower_term(sig, ast, expected, &mut diags) {
-        Some(term) if diags.is_empty() => Ok(term),
+        Some((term, _)) if diags.is_empty() => Ok(term),
         _ => Err(diags),
     }
 }
@@ -204,15 +207,18 @@ fn declare_param(
     }
 }
 
+/// Lowers `ast` in a context that expects `expected` (if any), returning
+/// the term with its sort. Only the root is compared with `expected`;
+/// the children were checked on the way down (see the module docs).
 fn lower_term(
     sig: &Signature,
     ast: &TermAst,
     expected: Option<SortId>,
     diags: &mut Diagnostics,
-) -> Option<Term> {
-    let term = match ast {
+) -> Option<(Term, SortId)> {
+    let (term, sort) = match ast {
         TermAst::Error(span) => match expected {
-            Some(sort) => Term::Error(sort),
+            Some(sort) => (Term::Error(sort), sort),
             None => {
                 diags.error(
                     *span,
@@ -223,19 +229,20 @@ fn lower_term(
         },
         TermAst::Name(name, span) => {
             if let Some(v) = sig.find_var(name) {
-                Term::Var(v)
+                (Term::Var(v), sig.var(v).sort())
             } else if let Some(op) = sig.find_op(name) {
-                if sig.op(op).arity() != 0 {
+                let info = sig.op(op);
+                if info.arity() != 0 {
                     diags.error(
                         *span,
                         format!(
                             "operation `{name}` takes {} argument(s); write `{name}(…)`",
-                            sig.op(op).arity()
+                            info.arity()
                         ),
                     );
                     return None;
                 }
-                Term::App(op, Vec::new())
+                (Term::App(op, Vec::new()), info.result())
             } else {
                 diags.error(*span, format!("unknown name `{name}`"));
                 return None;
@@ -262,12 +269,11 @@ fn lower_term(
                 );
                 return None;
             }
-            let arg_sorts: Vec<SortId> = info.args().to_vec();
             let mut lowered = Vec::with_capacity(args.len());
-            for (arg, sort) in args.iter().zip(arg_sorts) {
-                lowered.push(lower_term(sig, arg, Some(sort), diags)?);
+            for (arg, &sort) in args.iter().zip(info.args()) {
+                lowered.push(lower_term(sig, arg, Some(sort), diags)?.0);
             }
-            Term::App(op, lowered)
+            (Term::App(op, lowered), info.result())
         }
         TermAst::If {
             cond,
@@ -275,62 +281,57 @@ fn lower_term(
             else_branch,
             span,
         } => {
-            let cond_t = lower_term(sig, cond, Some(sig.bool_sort()), diags)?;
+            let (cond_t, _) = lower_term(sig, cond, Some(sig.bool_sort()), diags)?;
             // If the context gives no expected sort, infer it from
             // whichever branch determines one (so `error` may appear in
-            // either branch, as it does in the paper's axioms).
-            let branch_sort = match expected {
-                Some(s) => s,
+            // either branch, as it does in the paper's axioms). A branch
+            // that lowers without context is already its final term:
+            // lowering it again against its own sort would change nothing.
+            let (then_t, else_t, branch_sort) = match expected {
+                Some(s) => {
+                    let (then_t, _) = lower_term(sig, then_branch, Some(s), diags)?;
+                    let (else_t, _) = lower_term(sig, else_branch, Some(s), diags)?;
+                    (then_t, else_t, s)
+                }
                 None => {
-                    let mut scratch = Diagnostics::new();
-                    let inferred = lower_term(sig, then_branch, None, &mut scratch)
-                        .and_then(|t| t.sort(sig).ok())
-                        .or_else(|| {
-                            let mut scratch = Diagnostics::new();
-                            lower_term(sig, else_branch, None, &mut scratch)
-                                .and_then(|t| t.sort(sig).ok())
-                        });
-                    match inferred {
-                        Some(s) => s,
-                        None => {
-                            diags.error(
-                                *span,
-                                "cannot determine the sort of this conditional: neither \
-                                 branch has a context-free sort (e.g. both are `error`)",
-                            );
-                            return None;
-                        }
+                    if let Some((then_t, s)) =
+                        lower_term(sig, then_branch, None, &mut Diagnostics::new())
+                    {
+                        let (else_t, _) = lower_term(sig, else_branch, Some(s), diags)?;
+                        (then_t, else_t, s)
+                    } else if let Some((else_t, s)) =
+                        lower_term(sig, else_branch, None, &mut Diagnostics::new())
+                    {
+                        let (then_t, _) = lower_term(sig, then_branch, Some(s), diags)?;
+                        (then_t, else_t, s)
+                    } else {
+                        diags.error(
+                            *span,
+                            "cannot determine the sort of this conditional: neither \
+                             branch has a context-free sort (e.g. both are `error`)",
+                        );
+                        return None;
                     }
                 }
             };
-            let then_t = lower_term(sig, then_branch, Some(branch_sort), diags)?;
-            let else_t = lower_term(sig, else_branch, Some(branch_sort), diags)?;
-            Term::ite(cond_t, then_t, else_t)
+            (Term::ite(cond_t, then_t, else_t), branch_sort)
         }
     };
-    // Check the result against the context's expectation.
+    // Check the node against the context's expectation.
     if let Some(expected_sort) = expected {
-        match term.sort(sig) {
-            Ok(actual) => {
-                if actual != expected_sort {
-                    diags.error(
-                        ast.span(),
-                        format!(
-                            "sort mismatch: expected `{}`, found `{}`",
-                            sig.sort(expected_sort).name(),
-                            sig.sort(actual).name()
-                        ),
-                    );
-                    return None;
-                }
-            }
-            Err(e) => {
-                diags.error(ast.span(), e.to_string());
-                return None;
-            }
+        if sort != expected_sort {
+            diags.error(
+                ast.span(),
+                format!(
+                    "sort mismatch: expected `{}`, found `{}`",
+                    sig.sort(expected_sort).name(),
+                    sig.sort(sort).name()
+                ),
+            );
+            return None;
         }
     }
-    Some(term)
+    Some((term, sort))
 }
 
 #[cfg(test)]

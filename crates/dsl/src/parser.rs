@@ -5,6 +5,8 @@
 //! declaration, axiom, or section keyword — so one typo does not hide the
 //! rest of the file's problems.
 
+use std::mem;
+
 use crate::ast::{AxiomDecl, Item, Module, OpDecl, TermAst, TypeBlock, VarDecl};
 use crate::diag::{Diagnostics, Span};
 use crate::lexer::lex;
@@ -36,7 +38,7 @@ pub fn parse_module(source: &str) -> Result<Module, Diagnostics> {
 /// # Errors
 ///
 /// Returns all lexical and syntactic problems found, including trailing
-/// input after the term.
+/// input after a well-formed term.
 pub fn parse_term_source(source: &str) -> Result<TermAst, Diagnostics> {
     let tokens = lex(source)?;
     let mut p = Parser {
@@ -46,7 +48,10 @@ pub fn parse_term_source(source: &str) -> Result<TermAst, Diagnostics> {
         term_depth: 0,
     };
     let term = p.term();
-    if !p.at_eof() {
+    // Trailing input is only worth reporting after a complete term: when
+    // the term itself failed, the parser stopped at the offending token
+    // and "unexpected … after the term" would repeat the same error.
+    if term.is_some() && !p.at_eof() {
         let t = p.peek().clone();
         p.diags
             .error(t.span, format!("unexpected {} after the term", t.kind));
@@ -80,12 +85,19 @@ impl Parser {
         &self.peek().kind
     }
 
+    /// Consumes the current token and returns it. A consumed token is
+    /// never looked at again, so it is moved out rather than cloned; only
+    /// the final `Eof`, which stays current forever, is copied.
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        if self.pos < last {
+            let span = self.tokens[self.pos].span;
+            let t = mem::replace(&mut self.tokens[self.pos], Token::new(TokenKind::Eof, span));
             self.pos += 1;
+            t
+        } else {
+            self.tokens[last].clone()
         }
-        t
     }
 
     fn at_eof(&self) -> bool {
@@ -350,7 +362,7 @@ impl Parser {
     }
 
     fn term_inner(&mut self) -> Option<TermAst> {
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::KwIf => {
                 let span = self.advance().span;
                 let cond = Box::new(self.term()?);
@@ -395,9 +407,9 @@ impl Parser {
                 }
             }
             other => {
+                let msg = format!("expected a term, found {other}");
                 let span = self.peek().span;
-                self.diags
-                    .error(span, format!("expected a term, found {other}"));
+                self.diags.error(span, msg);
                 None
             }
         }

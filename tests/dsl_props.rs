@@ -1,12 +1,15 @@
 //! Property-based tests for the specification language: arbitrary
 //! well-sorted terms and arbitrary signatures survive the print → parse
-//! round trip exactly.
+//! round trip exactly, and lowering agrees with `Term::sort` on which
+//! terms are well-sorted.
 //!
 //! Terms and signatures are drawn from a seeded [`DetRng`] (96 cases per
 //! property), so every run exercises the same inputs.
 
 use adt_core::{display, DetRng, Spec, SpecBuilder, Term};
-use adt_dsl::{parse, parse_term, print_spec, semantically_equal};
+use adt_dsl::{
+    lower_term_in, parse, parse_term, parse_term_source, print_spec, semantically_equal, TermAst,
+};
 
 const CASES: usize = 96;
 
@@ -189,4 +192,197 @@ fn signature_print_parse_round_trip() {
         };
         assert!(semantically_equal(&spec, &reparsed), "printed:\n{printed}");
     }
+}
+
+/// Every context-free leaf of the playground, across all three sorts.
+fn leaf_pool(spec: &Spec) -> Vec<Term> {
+    let sig = spec.sig();
+    let mut pool: Vec<Term> = ["NEW", "A", "B"]
+        .iter()
+        .map(|n| Term::constant(sig.find_op(n).unwrap()))
+        .collect();
+    pool.extend(
+        ["q", "q1", "i", "i1", "flag"]
+            .iter()
+            .map(|n| Term::Var(sig.find_var(n).unwrap())),
+    );
+    pool.push(sig.tt());
+    pool.push(sig.ff());
+    pool
+}
+
+/// Draws a well-sorted term of a random sort.
+fn rand_term(spec: &Spec, rng: &mut DetRng) -> Term {
+    match rng.below(3) {
+        0 => rand_queue_term(spec, 5, rng),
+        1 => rand_item_term(spec, 5, rng),
+        _ => rand_bool_term(spec, 5, rng),
+    }
+}
+
+/// Child-index paths of the nodes a single mutation can target: leaves
+/// that are not `error`, and applications with at least one argument.
+/// Conditionals count their condition, then- and else-branch as 0, 1, 2.
+fn mutable_paths(t: &Term, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    match t {
+        Term::Var(_) => out.push(path.clone()),
+        Term::Error(_) => {}
+        Term::App(_, args) => {
+            out.push(path.clone());
+            for (k, a) in args.iter().enumerate() {
+                path.push(k);
+                mutable_paths(a, path, out);
+                path.pop();
+            }
+        }
+        Term::Ite(ite) => {
+            for (k, c) in [&ite.cond, &ite.then_branch, &ite.else_branch]
+                .into_iter()
+                .enumerate()
+            {
+                path.push(k);
+                mutable_paths(c, path, out);
+                path.pop();
+            }
+        }
+    }
+}
+
+fn term_at_mut<'a>(t: &'a mut Term, path: &[usize]) -> &'a mut Term {
+    let Some((&k, rest)) = path.split_first() else {
+        return t;
+    };
+    let child = match t {
+        Term::App(_, args) => &mut args[k],
+        Term::Ite(ite) => [&mut ite.cond, &mut ite.then_branch, &mut ite.else_branch]
+            .into_iter()
+            .nth(k)
+            .unwrap(),
+        _ => unreachable!("paths only descend into compound terms"),
+    };
+    term_at_mut(child, rest)
+}
+
+fn ast_at<'a>(ast: &'a TermAst, path: &[usize]) -> &'a TermAst {
+    let Some((&k, rest)) = path.split_first() else {
+        return ast;
+    };
+    let child = match ast {
+        TermAst::App { args, .. } => &args[k],
+        TermAst::If {
+            cond,
+            then_branch,
+            else_branch,
+            ..
+        } => [cond, then_branch, else_branch][k].as_ref(),
+        _ => unreachable!("paths only descend into compound terms"),
+    };
+    ast_at(child, rest)
+}
+
+/// `Term::sort` is the oracle for lowering. A printed well-sorted term
+/// lowers back to itself at its own sort, and the sort lowering settles
+/// on is the oracle's: the same source against any other sort fails, and
+/// for a term headed by a name, with the mismatch reported at the root.
+#[test]
+fn lowering_agrees_with_the_sort_oracle_on_well_sorted_terms() {
+    let spec = term_playground();
+    let sig = spec.sig();
+    let sorts = ["Queue", "Item"]
+        .map(|n| sig.find_sort(n).unwrap())
+        .into_iter()
+        .chain([sig.bool_sort()])
+        .collect::<Vec<_>>();
+    let mut rng = DetRng::new(0xD51_0003);
+    for _ in 0..CASES {
+        let t = rand_term(&spec, &mut rng);
+        let sort = t.sort(sig).unwrap();
+        let rendered = display::term(sig, &t).to_string();
+        let ast = parse_term_source(&rendered).unwrap();
+        assert_eq!(
+            lower_term_in(sig, &ast, Some(sort)),
+            Ok(t.clone()),
+            "source: {rendered}"
+        );
+        match lower_term_in(sig, &ast, None) {
+            Ok(lowered) => assert_eq!(lowered, t, "source: {rendered}"),
+            Err(e) => assert!(
+                e.to_string().contains("cannot determine the sort"),
+                "{rendered}: {e}"
+            ),
+        }
+        if matches!(t, Term::Error(_)) {
+            continue; // `error` takes whatever sort its context expects
+        }
+        for &other in sorts.iter().filter(|&&s| s != sort) {
+            let diags = lower_term_in(sig, &ast, Some(other)).unwrap_err();
+            if matches!(ast, TermAst::If { .. }) {
+                continue; // the branches carry the expectation down
+            }
+            let first = &diags.items()[0];
+            assert_eq!(first.span, ast.span(), "source: {rendered}");
+            assert_eq!(
+                first.message,
+                format!(
+                    "sort mismatch: expected `{}`, found `{}`",
+                    sig.sort(other).name(),
+                    sig.sort(sort).name()
+                ),
+                "source: {rendered}"
+            );
+        }
+    }
+}
+
+/// A single seeded mutation at a random node — a leaf swapped for a leaf
+/// of any sort, or an argument dropped — makes lowering fail exactly when
+/// the oracle rejects the mutated term, and the first diagnostic points
+/// at the mutated node.
+#[test]
+fn lowering_fails_exactly_where_the_sort_oracle_does() {
+    let spec = term_playground();
+    let sig = spec.sig();
+    let pool = leaf_pool(&spec);
+    let mut rng = DetRng::new(0xD51_0004);
+    let (mut rejected, mut accepted) = (0usize, 0usize);
+    for _ in 0..CASES * 4 {
+        let original = rand_term(&spec, &mut rng);
+        let sort = original.sort(sig).unwrap();
+        let mut paths = Vec::new();
+        mutable_paths(&original, &mut Vec::new(), &mut paths);
+        if paths.is_empty() {
+            continue;
+        }
+        let path = &paths[rng.below(paths.len())];
+        let mut mutated = original.clone();
+        match term_at_mut(&mut mutated, path) {
+            Term::App(_, args) if !args.is_empty() => {
+                args.remove(rng.below(args.len()));
+            }
+            node => *node = pool[rng.below(pool.len())].clone(),
+        }
+        let oracle_ok = mutated.sort(sig) == Ok(sort);
+        let rendered = display::term(sig, &mutated).to_string();
+        let ast = parse_term_source(&rendered).unwrap();
+        match lower_term_in(sig, &ast, Some(sort)) {
+            Ok(lowered) => {
+                assert!(oracle_ok, "lowering accepted {rendered}");
+                assert_eq!(lowered, mutated, "source: {rendered}");
+                accepted += 1;
+            }
+            Err(diags) => {
+                assert!(!oracle_ok, "lowering rejected {rendered}: {diags}");
+                assert_eq!(
+                    diags.items()[0].span,
+                    ast_at(&ast, path).span(),
+                    "source: {rendered}: {diags}"
+                );
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        rejected > CASES && accepted > CASES / 8,
+        "{rejected} / {accepted}"
+    );
 }
