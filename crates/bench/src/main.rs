@@ -3,11 +3,12 @@
 //!
 //! Measures a curated subset of the `benches/` workloads (memoization,
 //! rewrite_queue, checker_scaling, session_reuse, retry_ladder,
-//! representation_proof and dsl_frontend — all deterministic, seed 7) and
-//! emits the medians as machine-readable JSON. CI runs this with `--quick
-//! --baseline BENCH_rewrite.json` to catch >2× regressions; the
-//! committed baseline itself is produced with `--merge-before` so it
-//! carries the pre-arena medians alongside the current ones.
+//! representation_proof, dsl_frontend and session_query — all
+//! deterministic, seed 7) and emits the medians as machine-readable JSON.
+//! CI runs this with `--quick --baseline BENCH_rewrite.json` to catch >2×
+//! regressions; the committed baseline itself is produced with
+//! `--merge-before` so it carries the pre-arena medians alongside the
+//! current ones.
 //!
 //! ```text
 //! adt-bench [--json PATH] [--baseline PATH] [--max-regress FACTOR]
@@ -20,7 +21,7 @@ use std::time::Duration;
 use adt_bench::harness::Group;
 use adt_bench::report::{regressions, BenchRecord, BenchReport};
 use adt_bench::workloads::{
-    queue_term, symtab_term, symtab_trace, synthetic_spec, with_twin_axioms,
+    queue_term, symtab_term, symtab_trace, synthetic_spec, with_twin_axioms, SymOp,
 };
 use adt_check::{check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig};
 use adt_core::{display, Deadline, Session, Supervisor};
@@ -518,6 +519,69 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
                     parse_term_id(session, std::hint::black_box(text)).expect("well-sorted")
                 }),
             );
+        }
+    }
+
+    // session_query: one REPL-style RETRIEVE against a warm Symboltable
+    // session whose history has n operations. Setup (untimed) builds the
+    // session, normalizes a RETRIEVE of every identifier on the n-op
+    // state, appends one ADD and interns a RETRIEVE of another identifier
+    // on the result; the row times `normalize_id` on it. The answer takes
+    // a few steps down to that identifier's latest declaration (14, 8
+    // and 5 at n = 64, 128, 256), not n, so the rows stay flat when a
+    // query costs what it rewrites and grow with n when it costs what the
+    // history holds. The budget is fixed and small because every
+    // iteration needs a fresh session; finished sessions are dropped in
+    // the next setup, not inside the timed loop.
+    {
+        let budget = if quick { 6 } else { 30 };
+        let g = Group::new("session_query")
+            .samples(5)
+            .budget(Duration::from_millis(2), Duration::from_millis(budget));
+        let symtab = symboltable_spec();
+        let ssig = symtab.sig();
+        let app =
+            |name: &str, args: Vec<adt_core::Term>| ssig.apply(name, args).expect("well-sorted");
+        let ids: Vec<_> = ["ID_X", "ID_Y", "ID_Z"].iter().map(|id| app(id, vec![])).collect();
+        let finished = std::cell::RefCell::new(Vec::new());
+        for n in [64usize, 128, 256] {
+            // n scope entries and declarations: the state is a normal form
+            // of n nodes, so the query's size grows with n.
+            let history: Vec<_> = symtab_trace(4 * n, 3, 7)
+                .into_iter()
+                .filter(|op| matches!(op, SymOp::Enter | SymOp::Add(_)))
+                .take(n)
+                .collect();
+            assert_eq!(history.len(), n);
+            let (state, _) = symtab_term(&symtab, &history);
+            let warm: Vec<_> = ids
+                .iter()
+                .map(|id| app("RETRIEVE", vec![state.clone(), id.clone()]))
+                .collect();
+            let added = app("ADD", vec![state, ids[0].clone(), app("ATTR_2", vec![])]);
+            let query = app("RETRIEVE", vec![added, ids[1].clone()]);
+            let name = format!("retrieve/{n}");
+            let m = g.bench_batched(
+                &name,
+                || {
+                    finished.borrow_mut().clear();
+                    let session = Session::new(symtab.clone());
+                    let rw = Rewriter::for_session(&session);
+                    for t in &warm {
+                        rw.normalize_id(&session, session.intern(t)).expect("normalizes");
+                    }
+                    let qid = session.intern(&query);
+                    (session, qid)
+                },
+                |(session, qid)| {
+                    let nf = Rewriter::for_session(&session)
+                        .normalize_id(&session, qid)
+                        .expect("normalizes");
+                    finished.borrow_mut().push(session);
+                    nf
+                },
+            );
+            push("session_query", &name, m);
         }
     }
 

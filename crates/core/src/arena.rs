@@ -14,7 +14,8 @@
 //!   structural hash) are computed once at interning time and read back in
 //!   O(1);
 //! * building a term that shares subterms with existing ones allocates
-//!   only the genuinely new nodes.
+//!   only the genuinely new nodes, and finding a node the arena already
+//!   holds allocates nothing.
 //!
 //! # Invariants
 //!
@@ -22,39 +23,51 @@
 //! produced them and are meaningless anywhere else. They must never be
 //! serialized, compared across arenas, or stored in any artifact that
 //! outlives the arena. A term crosses an arena boundary either as a
-//! reconstructed [`Term`] ([`TermArena::to_term`]) or by id translation
-//! through an [`ArenaLink`], which copies only the nodes the other arena
+//! reconstructed [`Term`] ([`TermArena::to_term`]) or by id through
+//! [`TermArena::adopt`], which copies only the nodes the other arena
 //! lacks. The [`TermArena::structural_hash`], by contrast, is a pure
 //! function of term *structure* (the same term hashes identically in
 //! every arena and every process).
 //!
-//! The arena is append-only and unsynchronized by design: engines create
-//! one arena per normalization run, keeping the hot path free of locks,
-//! and drop it wholesale when the run completes.
+//! The one sanctioned sharing of ids is an *overlay*
+//! ([`TermArena::over`]): an arena that extends a borrowed base, so the
+//! base's ids are its ids and its own continue after them. It looks a
+//! node up in the base before adding it, so a term has one id across both
+//! layers. Its own nodes go back into the base by id, through
+//! [`TermArena::adopt`] once [`TermArena::detach`] has ended the borrow.
+//!
+//! Arenas are append-only and unsynchronized by design: an id, once
+//! handed out, denotes the same term for the arena's whole life.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ids::{OpId, SortId, VarId};
-use crate::term::{Ite, Term};
+use crate::term::Term;
 
-/// A [`Hasher`] that passes an already-mixed `u64` key through unchanged.
-///
-/// The dedup map is keyed by [`mix`]-scrambled structural hashes, which
-/// already spread entropy across all 64 bits; running them through the
-/// default SipHash would cost more than the table probe it protects.
-/// Only usable for `u64` keys — anything else reaches the `unreachable!`.
+/// A [`Hasher`] for keys that need no further mixing: `u64` keys (the
+/// dedup map's already-scrambled structural hashes) pass through
+/// unchanged, and `u32` keys ([`TermId`]s) are spread by one multiply.
+/// SipHash would cost more than the table probe it protects. Only usable
+/// for those two key types — anything else reaches the `unreachable!`.
 #[derive(Default)]
-struct PassthroughHasher(u64);
+pub struct IdHasher(u64);
 
-impl Hasher for PassthroughHasher {
+impl Hasher for IdHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PassthroughHasher only hashes u64 keys");
+        unreachable!("IdHasher only hashes u32 and u64 keys");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        // Multiplying by an odd constant is a bijection that spreads
+        // consecutive ids across the table's control bits.
+        self.0 = u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 
     #[inline]
@@ -63,7 +76,10 @@ impl Hasher for PassthroughHasher {
     }
 }
 
-type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<PassthroughHasher>>;
+type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash map keyed by [`TermId`], hashed by one multiply.
+pub type IdMap<V> = HashMap<TermId, V, BuildHasherDefault<IdHasher>>;
 
 /// A handle to an interned term node inside one [`TermArena`].
 ///
@@ -88,17 +104,28 @@ impl std::fmt::Debug for TermId {
     }
 }
 
-/// One interned term node: the same shape as [`Term`], with child terms
-/// replaced by ids into the owning arena.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum TermNode {
+/// One interned term node, as its arena hands it out: the same shape as
+/// [`Term`], with child terms replaced by ids of the arena. An
+/// application's arguments are borrowed from the arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TermNode<'a> {
     /// A typed free variable.
     Var(VarId),
     /// Application of an operation to interned arguments.
-    App(OpId, Box<[TermId]>),
+    App(OpId, &'a [TermId]),
     /// The built-in conditional: condition, then-branch, else-branch.
     Ite(TermId, TermId, TermId),
     /// The distinguished `error` value of the given sort.
+    Error(SortId),
+}
+
+/// How an arena stores a node: an application's arguments are the range
+/// `start..end` of the arena's argument pool.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Var(VarId),
+    App(OpId, u32, u32),
+    Ite(TermId, TermId, TermId),
     Error(SortId),
 }
 
@@ -127,7 +154,42 @@ const TAG_APP: u64 = 0xbf58_476d_1ce4_e5b9;
 const TAG_ITE: u64 = 0x94d0_49bb_1331_11eb;
 const TAG_ERROR: u64 = 0xd6e8_feb8_6659_fd93;
 
-/// An append-only, hash-consing store of term nodes.
+/// The facts of `node`, given its children's.
+fn meta_of(node: TermNode<'_>, meta: impl Fn(TermId) -> Meta) -> Meta {
+    let inner = |seed: u64, children: &[TermId]| {
+        let mut m = Meta {
+            hash: seed,
+            depth: 0,
+            ground: true,
+        };
+        for &c in children {
+            let cm = meta(c);
+            m.hash = mix(m.hash, cm.hash);
+            m.depth = m.depth.max(cm.depth);
+            m.ground &= cm.ground;
+        }
+        m.depth = m.depth.saturating_add(1);
+        m
+    };
+    match node {
+        TermNode::Var(v) => Meta {
+            hash: mix(TAG_VAR, v.index() as u64),
+            depth: 1,
+            ground: false,
+        },
+        TermNode::Error(s) => Meta {
+            hash: mix(TAG_ERROR, s.index() as u64),
+            depth: 1,
+            ground: true,
+        },
+        TermNode::App(op, args) => inner(mix(TAG_APP, op.index() as u64), args),
+        TermNode::Ite(c, t, e) => inner(TAG_ITE, &[c, t, e]),
+    }
+}
+
+/// An append-only, hash-consing store of term nodes, possibly an overlay
+/// over a borrowed base arena (see the module docs). A standalone arena
+/// is a `TermArena<'static>`.
 ///
 /// ```
 /// use adt_core::{Signature, Term, TermArena};
@@ -148,55 +210,111 @@ const TAG_ERROR: u64 = 0xd6e8_feb8_6659_fd93;
 /// # Ok::<(), adt_core::CoreError>(())
 /// ```
 #[derive(Debug, Default, Clone)]
-pub struct TermArena {
-    nodes: Vec<TermNode>,
+pub struct TermArena<'b> {
+    /// The arena this one extends: its ids are this arena's below `first`.
+    base: Option<&'b TermArena<'static>>,
+    /// The first id this arena owns.
+    first: u32,
+    slots: Vec<Slot>,
+    /// The arguments of every application, end to end.
+    args: Vec<TermId>,
     meta: Vec<Meta>,
-    /// Structural hash → ids of nodes with that hash (almost always one).
-    dedup: PrehashedMap<Vec<TermId>>,
+    /// Structural hash → the first own node with that hash; later ones
+    /// (a 64-bit collision) go to `collided`.
+    dedup: PrehashedMap<TermId>,
+    collided: Vec<TermId>,
 }
 
-impl TermArena {
-    /// Creates an empty arena.
+impl TermArena<'static> {
+    /// Creates an empty standalone arena.
     pub fn new() -> Self {
         TermArena::default()
     }
+}
 
-    /// Number of distinct nodes interned so far.
+impl<'b> TermArena<'b> {
+    /// An empty overlay over the standalone arena `base`: `base`'s ids
+    /// are read in place, and only nodes `base` lacks are stored here,
+    /// under ids that continue `base`'s. While the borrow lasts `base`
+    /// cannot change, so id equality stays structural equality.
+    ///
+    /// ```
+    /// use adt_core::{Signature, Term, TermArena};
+    ///
+    /// let mut sig = Signature::new();
+    /// let s = sig.add_sort("S")?;
+    /// let c = sig.add_ctor("C", vec![], s)?;
+    /// let f = sig.add_op("F", vec![s], s)?;
+    /// let fc = Term::App(f, vec![Term::constant(c)]);
+    ///
+    /// let mut base = TermArena::new();
+    /// let c_id = base.intern(&Term::constant(c));
+    /// let mut run = TermArena::over(&base);
+    /// assert_eq!(run.intern(&Term::constant(c)), c_id, "base ids are read in place");
+    /// let fc_id = run.app(f, &[c_id]);
+    /// assert!(!run.in_base(fc_id));
+    /// assert_eq!(run.to_term(fc_id), fc);
+    ///
+    /// // The overlay's own nodes cross back into the base by id.
+    /// let top = run.detach();
+    /// let published = base.adopt(&top, fc_id, &mut Default::default());
+    /// assert_eq!(base.to_term(published), fc);
+    /// # Ok::<(), adt_core::CoreError>(())
+    /// ```
+    pub fn over(base: &'b TermArena<'static>) -> Self {
+        debug_assert!(base.base.is_none(), "an overlay's base is a standalone arena");
+        TermArena {
+            base: Some(base),
+            first: u32::try_from(base.len()).expect("term arena exceeded the u32 id space"),
+            ..TermArena::default()
+        }
+    }
+
+    /// Ends an overlay's borrow of its base, keeping its own nodes under
+    /// their ids, for [`TermArena::adopt`] into the base. Ids below the
+    /// arena's own no longer resolve.
+    pub fn detach(self) -> TermArena<'static> {
+        TermArena {
+            base: None,
+            first: self.first,
+            slots: self.slots,
+            args: self.args,
+            meta: self.meta,
+            dedup: self.dedup,
+            collided: self.collided,
+        }
+    }
+
+    /// Number of distinct nodes this arena stores (an overlay's own).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
-    /// Whether the arena contains no nodes.
+    /// Whether the arena stores no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Approximate heap footprint of the arena in bytes: node and meta
-    /// storage, argument slices, and the dedup table. Telemetry only —
-    /// counts capacities where cheap to read, so it tracks allocations,
-    /// not live data.
+    /// Approximate heap footprint of the arena in bytes: node, argument
+    /// and meta storage, and the dedup table. Telemetry only — counts
+    /// capacities, so it tracks allocations, not live data.
     pub fn approx_bytes(&self) -> usize {
-        let args: usize = self
-            .nodes
-            .iter()
-            .map(|n| match n {
-                TermNode::App(_, args) => args.len() * std::mem::size_of::<TermId>(),
-                _ => 0,
-            })
-            .sum();
-        let dedup: usize = self
-            .dedup
-            .values()
-            .map(|bucket| {
-                std::mem::size_of::<u64>()
-                    + std::mem::size_of::<Vec<TermId>>()
-                    + bucket.capacity() * std::mem::size_of::<TermId>()
-            })
-            .sum();
-        self.nodes.capacity() * std::mem::size_of::<TermNode>()
-            + self.meta.capacity() * std::mem::size_of::<Meta>()
-            + args
-            + dedup
+        use std::mem::size_of;
+        self.slots.capacity() * size_of::<Slot>()
+            + (self.args.capacity() + self.collided.capacity()) * size_of::<TermId>()
+            + self.meta.capacity() * size_of::<Meta>()
+            + self.dedup.capacity() * size_of::<(u64, TermId)>()
+    }
+
+    /// Whether `id` belongs to the base this arena overlays.
+    #[inline]
+    pub fn in_base(&self, id: TermId) -> bool {
+        id.0 < self.first
+    }
+
+    #[inline]
+    fn slot(&self, id: TermId) -> usize {
+        (id.0 - self.first) as usize
     }
 
     /// The node an id denotes.
@@ -204,24 +322,42 @@ impl TermArena {
     /// # Panics
     ///
     /// Panics if `id` was produced by a different arena (and is out of
-    /// range for this one).
+    /// range for this one), or precedes a detached overlay's own ids.
     #[inline]
-    pub fn node(&self, id: TermId) -> &TermNode {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: TermId) -> TermNode<'_> {
+        match self.base {
+            Some(base) if self.in_base(id) => base.node(id),
+            _ => match self.slots[self.slot(id)] {
+                Slot::Var(v) => TermNode::Var(v),
+                Slot::App(op, start, end) => {
+                    TermNode::App(op, &self.args[start as usize..end as usize])
+                }
+                Slot::Ite(c, t, e) => TermNode::Ite(c, t, e),
+                Slot::Error(s) => TermNode::Error(s),
+            },
+        }
+    }
+
+    #[inline]
+    fn meta(&self, id: TermId) -> Meta {
+        match self.base {
+            Some(base) if self.in_base(id) => base.meta(id),
+            _ => self.meta[self.slot(id)],
+        }
     }
 
     /// Whether the denoted term contains no variables. O(1): cached at
     /// interning time.
     #[inline]
     pub fn is_ground(&self, id: TermId) -> bool {
-        self.meta[id.index()].ground
+        self.meta(id).ground
     }
 
     /// Height of the denoted term (a leaf has depth 1), saturating at
     /// `u32::MAX`. O(1): cached at interning time.
     #[inline]
     pub fn depth(&self, id: TermId) -> u32 {
-        self.meta[id.index()].depth
+        self.meta(id).depth
     }
 
     /// A deterministic hash of the denoted term's *structure*. Equal terms
@@ -230,101 +366,53 @@ impl TermArena {
     /// interning time.
     #[inline]
     pub fn structural_hash(&self, id: TermId) -> u64 {
-        self.meta[id.index()].hash
+        self.meta(id).hash
     }
 
-    fn meta_of(&self, node: &TermNode) -> Meta {
-        match node {
-            TermNode::Var(v) => Meta {
-                hash: mix(TAG_VAR, v.index() as u64),
-                depth: 1,
-                ground: false,
-            },
-            TermNode::Error(s) => Meta {
-                hash: mix(TAG_ERROR, s.index() as u64),
-                depth: 1,
-                ground: true,
-            },
-            TermNode::App(op, args) => {
-                let mut hash = mix(TAG_APP, op.index() as u64);
-                let mut depth = 0u32;
-                let mut ground = true;
-                for &a in args.iter() {
-                    let m = self.meta[a.index()];
-                    hash = mix(hash, m.hash);
-                    depth = depth.max(m.depth);
-                    ground &= m.ground;
-                }
-                Meta {
-                    hash,
-                    depth: depth.saturating_add(1),
-                    ground,
-                }
-            }
-            TermNode::Ite(c, t, e) => {
-                let mut hash = TAG_ITE;
-                let mut depth = 0u32;
-                let mut ground = true;
-                for id in [c, t, e] {
-                    let m = self.meta[id.index()];
-                    hash = mix(hash, m.hash);
-                    depth = depth.max(m.depth);
-                    ground &= m.ground;
-                }
-                Meta {
-                    hash,
-                    depth: depth.saturating_add(1),
-                    ground,
-                }
-            }
-        }
+    /// The id of `node` (whose structural hash is `hash`) among this
+    /// arena's own nodes. Never allocates.
+    fn lookup(&self, hash: u64, node: TermNode<'_>) -> Option<TermId> {
+        let first = *self.dedup.get(&hash)?;
+        std::iter::once(first)
+            .chain(self.collided.iter().copied())
+            .find(|&id| self.meta(id).hash == hash && self.node(id) == node)
     }
 
-    /// The id this arena gives a node of *another* arena, `node` with
-    /// structural hash `hash`, once its children are mapped through
-    /// `map`; `None` if this arena lacks it (or `map` lacks a child).
-    /// Never interns and never allocates.
-    fn find_image(
-        &self,
-        hash: u64,
-        node: &TermNode,
-        map: impl Fn(TermId) -> Option<TermId>,
-    ) -> Option<TermId> {
-        let same = |mine: TermId, theirs: TermId| map(theirs) == Some(mine);
-        self.dedup
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&id| match (&self.nodes[id.index()], node) {
-                (TermNode::App(f, xs), TermNode::App(g, ys)) => {
-                    f == g
-                        && xs.len() == ys.len()
-                        && xs.iter().zip(ys.iter()).all(|(&x, &y)| same(x, y))
-                }
-                (TermNode::Ite(a, b, c), TermNode::Ite(x, y, z)) => {
-                    same(*a, *x) && same(*b, *y) && same(*c, *z)
-                }
-                (mine, theirs) => mine == theirs,
-            })
-    }
-
-    fn intern_node(&mut self, node: TermNode) -> TermId {
-        let meta = self.meta_of(&node);
-        if let Some(bucket) = self.dedup.get(&meta.hash) {
-            for &id in bucket {
-                if self.nodes[id.index()] == node {
-                    return id;
-                }
-            }
+    fn intern_node(&mut self, node: TermNode<'_>) -> TermId {
+        let meta = meta_of(node, |c| self.meta(c));
+        // The base can hold the node only if it holds all its children.
+        let in_base = |c: TermId| self.in_base(c);
+        let found = match (self.base, node) {
+            (None, _) => None,
+            (_, TermNode::App(_, args)) if !args.iter().all(|&a| in_base(a)) => None,
+            (_, TermNode::Ite(c, t, e)) if !(in_base(c) && in_base(t) && in_base(e)) => None,
+            (Some(base), _) => base.lookup(meta.hash, node),
+        };
+        if let Some(id) = found.or_else(|| self.lookup(meta.hash, node)) {
+            return id;
         }
         // A 2^32-node arena is hundreds of gigabytes of terms; failing
         // loudly here is strictly better than aliasing two distinct terms.
         let id = TermId(
-            u32::try_from(self.nodes.len()).expect("term arena exceeded the u32 id space"),
+            u32::try_from(self.first as usize + self.slots.len())
+                .expect("term arena exceeded the u32 id space"),
         );
-        self.nodes.push(node);
+        self.slots.push(match node {
+            TermNode::Var(v) => Slot::Var(v),
+            TermNode::App(op, args) => {
+                let start = self.args.len();
+                self.args.extend_from_slice(args);
+                let offset = |i| u32::try_from(i).expect("argument pool exceeded the u32 space");
+                Slot::App(op, offset(start), offset(self.args.len()))
+            }
+            TermNode::Ite(c, t, e) => Slot::Ite(c, t, e),
+            TermNode::Error(s) => Slot::Error(s),
+        });
         self.meta.push(meta);
-        self.dedup.entry(meta.hash).or_default().push(id);
+        if let Some(first) = self.dedup.insert(meta.hash, id) {
+            self.dedup.insert(meta.hash, first);
+            self.collided.push(id);
+        }
         id
     }
 
@@ -338,9 +426,10 @@ impl TermArena {
         self.intern_node(TermNode::Error(s))
     }
 
-    /// Interns an application of `op` to already-interned arguments.
-    pub fn app(&mut self, op: OpId, args: Vec<TermId>) -> TermId {
-        self.intern_node(TermNode::App(op, args.into_boxed_slice()))
+    /// Interns an application of `op` to already-interned arguments. The
+    /// arguments are copied only if the node is new.
+    pub fn app(&mut self, op: OpId, args: &[TermId]) -> TermId {
+        self.intern_node(TermNode::App(op, args))
     }
 
     /// Interns a conditional over already-interned parts.
@@ -348,7 +437,8 @@ impl TermArena {
         self.intern_node(TermNode::Ite(cond, then_branch, else_branch))
     }
 
-    /// Interns a [`Term`], sharing every subterm already present.
+    /// Interns a [`Term`], sharing every subterm already present. A term
+    /// the arena already holds allocates nothing but the walk's stacks.
     ///
     /// Iterative (explicit stack), so terms nested far beyond the native
     /// call stack intern fine.
@@ -364,6 +454,7 @@ impl TermArena {
                 Frame::Visit(t) => match t {
                     Term::Var(v) => done.push(self.var(*v)),
                     Term::Error(s) => done.push(self.error(*s)),
+                    Term::App(op, args) if args.is_empty() => done.push(self.app(*op, &[])),
                     Term::App(_, args) => {
                         stack.push(Frame::Build(t));
                         for a in args.iter().rev() {
@@ -377,20 +468,23 @@ impl TermArena {
                         stack.push(Frame::Visit(&ite.cond));
                     }
                 },
-                Frame::Build(t) => match t {
-                    Term::App(op, args) => {
-                        let children = done.split_off(done.len() - args.len());
-                        done.push(self.app(*op, children));
-                    }
-                    Term::Ite(_) => {
-                        let [c, th, e]: [TermId; 3] = done
-                            .split_off(done.len() - 3)
-                            .try_into()
-                            .expect("three children were interned");
-                        done.push(self.ite(c, th, e));
-                    }
-                    Term::Var(_) | Term::Error(_) => unreachable!("leaves are never deferred"),
-                },
+                Frame::Build(t) => {
+                    // The children are the top of `done`: interned from a
+                    // slice of it, so a hit allocates nothing.
+                    let arity = match t {
+                        Term::App(_, args) => args.len(),
+                        _ => 3,
+                    };
+                    let children = &done[done.len() - arity..];
+                    let node = match (t, children) {
+                        (Term::App(op, _), _) => TermNode::App(*op, children),
+                        (_, &[c, th, e]) => TermNode::Ite(c, th, e),
+                        _ => unreachable!("leaves are never deferred"),
+                    };
+                    let id = self.intern_node(node);
+                    done.truncate(done.len() - arity);
+                    done.push(id);
+                }
             }
         }
         done.pop().expect("interning produces exactly one root")
@@ -401,7 +495,7 @@ impl TermArena {
     ///
     /// # Panics
     ///
-    /// Panics if `id` was produced by a different arena.
+    /// As for [`TermArena::node`].
     pub fn to_term(&self, id: TermId) -> Term {
         enum Frame {
             Visit(TermId),
@@ -412,25 +506,21 @@ impl TermArena {
         while let Some(frame) = stack.pop() {
             match frame {
                 Frame::Visit(id) => match self.node(id) {
-                    TermNode::Var(v) => done.push(Term::Var(*v)),
-                    TermNode::Error(s) => done.push(Term::Error(*s)),
+                    TermNode::Var(v) => done.push(Term::Var(v)),
+                    TermNode::Error(s) => done.push(Term::Error(s)),
                     TermNode::App(_, args) => {
                         stack.push(Frame::Build(id));
-                        for &a in args.iter().rev() {
-                            stack.push(Frame::Visit(a));
-                        }
+                        stack.extend(args.iter().rev().map(|&a| Frame::Visit(a)));
                     }
                     TermNode::Ite(c, t, e) => {
                         stack.push(Frame::Build(id));
-                        stack.push(Frame::Visit(*e));
-                        stack.push(Frame::Visit(*t));
-                        stack.push(Frame::Visit(*c));
+                        stack.extend([Frame::Visit(e), Frame::Visit(t), Frame::Visit(c)]);
                     }
                 },
                 Frame::Build(id) => match self.node(id) {
                     TermNode::App(op, args) => {
                         let children = done.split_off(done.len() - args.len());
-                        done.push(Term::App(*op, children));
+                        done.push(Term::App(op, children));
                     }
                     TermNode::Ite(..) => {
                         let e = done.pop().expect("else-branch was built");
@@ -452,31 +542,31 @@ impl TermArena {
     ///
     /// # Panics
     ///
-    /// Panics if `id` was produced by a different arena.
+    /// As for [`TermArena::node`].
     pub fn term_eq(&self, id: TermId, term: &Term) -> bool {
         let mut stack: Vec<(TermId, &Term)> = vec![(id, term)];
         while let Some((id, t)) = stack.pop() {
             match (self.node(id), t) {
                 (TermNode::Var(a), Term::Var(b)) => {
-                    if a != b {
+                    if a != *b {
                         return false;
                     }
                 }
                 (TermNode::Error(a), Term::Error(b)) => {
-                    if a != b {
+                    if a != *b {
                         return false;
                     }
                 }
                 (TermNode::App(op1, args1), Term::App(op2, args2)) => {
-                    if op1 != op2 || args1.len() != args2.len() {
+                    if op1 != *op2 || args1.len() != args2.len() {
                         return false;
                     }
                     stack.extend(args1.iter().copied().zip(args2.iter()));
                 }
                 (TermNode::Ite(c, th, e), Term::Ite(ite)) => {
-                    stack.push((*e, &ite.else_branch));
-                    stack.push((*th, &ite.then_branch));
-                    stack.push((*c, &ite.cond));
+                    stack.push((e, &ite.else_branch));
+                    stack.push((th, &ite.then_branch));
+                    stack.push((c, &ite.cond));
                 }
                 _ => return false,
             }
@@ -484,184 +574,54 @@ impl TermArena {
         true
     }
 
-    /// Convenience: interns all parts of an [`Ite`].
-    pub fn intern_ite(&mut self, ite: &Ite) -> TermId {
-        let c = self.intern(&ite.cond);
-        let t = self.intern(&ite.then_branch);
-        let e = self.intern(&ite.else_branch);
-        self.ite(c, t, e)
-    }
-}
-
-/// Sentinel in [`ArenaLink`]'s forward table: not looked up yet.
-const UNKNOWN: u32 = u32::MAX;
-/// Sentinel in [`ArenaLink`]'s forward table: the shared arena did not
-/// hold the term when it was looked up.
-const ABSENT: u32 = u32::MAX - 1;
-
-/// A stable key for a [`PrehashedMap`] over ids: multiplying by an odd
-/// constant is a bijection, and it spreads consecutive ids across the
-/// table's control bits.
-#[inline]
-fn spread(id: TermId) -> u64 {
-    u64::from(id.0).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// The node `node` with each child id replaced through `map`, or `None`
-/// if some child has no image.
-fn remap(node: &TermNode, mut map: impl FnMut(TermId) -> Option<TermId>) -> Option<TermNode> {
-    Some(match node {
-        TermNode::Var(v) => TermNode::Var(*v),
-        TermNode::Error(s) => TermNode::Error(*s),
-        TermNode::App(op, args) => {
-            TermNode::App(*op, args.iter().map(|&a| map(a)).collect::<Option<_>>()?)
-        }
-        TermNode::Ite(c, t, e) => TermNode::Ite(map(*c)?, map(*t)?, map(*e)?),
-    })
-}
-
-/// Visits the nodes under `root` children first, with an explicit stack.
-/// `step(id, false)` asks whether `id` still needs visiting (children of
-/// a node that does not are skipped); `step(id, true)` visits it, once
-/// every child that needed visiting has been visited.
-fn post_order(
-    arena: &TermArena,
-    root: TermId,
-    stack: &mut Vec<(TermId, bool)>,
-    mut step: impl FnMut(TermId, bool) -> bool,
-) {
-    stack.clear();
-    stack.push((root, false));
-    while let Some((id, expanded)) = stack.pop() {
-        // A subterm shared within the walk may be pushed twice; whichever
-        // copy pops second finds it done.
-        if !step(id, false) {
-            continue;
-        }
-        if expanded {
-            step(id, true);
-            continue;
-        }
-        stack.push((id, true));
-        match arena.node(id) {
-            TermNode::App(_, args) => stack.extend(args.iter().map(|&a| (a, false))),
-            TermNode::Ite(c, t, e) => stack.extend([(*c, false), (*t, false), (*e, false)]),
-            TermNode::Var(_) | TermNode::Error(_) => {}
-        }
-    }
-}
-
-/// Translates ids between a private *local* arena and one long-lived
-/// *shared* arena, so terms cross by id instead of as [`Term`] trees.
-///
-/// A link belongs to one pair of arenas for the lifetime of the local
-/// one (one normalization run). It remembers every translation it made:
-/// a forward table maps local ids to shared ids — or records that the
-/// shared arena did not hold the term — and a reverse map serves
-/// imports. Each node is therefore translated at most once per link, and
-/// a lookup that missed on a deep term is not repeated at every level.
-///
-/// The shared arena is append-only, so a recorded shared id stays valid
-/// for ever. A recorded absence may go stale when another thread interns
-/// the term meanwhile; that only costs a lookup that could have found
-/// it, and [`ArenaLink::export`] (which interns) refreshes it. Every walk
-/// uses an explicit stack, so terms of any depth translate.
-#[derive(Debug, Default)]
-pub struct ArenaLink {
-    /// Local id → shared id, [`UNKNOWN`] or [`ABSENT`].
-    fwd: Vec<u32>,
-    /// Shared id (spread) → local id.
-    rev: PrehashedMap<TermId>,
-    stack: Vec<(TermId, bool)>,
-}
-
-impl ArenaLink {
-    /// A link that has translated nothing yet.
-    pub fn new() -> Self {
-        ArenaLink::default()
-    }
-
-    fn fwd(&self, local: TermId) -> u32 {
-        self.fwd.get(local.index()).copied().unwrap_or(UNKNOWN)
-    }
-
-    /// Whether a lookup of `local` already missed during this link's
-    /// lifetime (and nothing exported it since).
-    pub fn known_absent(&self, local: TermId) -> bool {
-        self.fwd(local) == ABSENT
-    }
-
-    fn present(&self, local: TermId) -> Option<TermId> {
-        match self.fwd(local) {
-            UNKNOWN | ABSENT => None,
-            shared => Some(TermId(shared)),
-        }
-    }
-
-    fn set(&mut self, local: TermId, shared: Option<TermId>, local_len: usize) {
-        if self.fwd.len() <= local.index() {
-            self.fwd.resize(local_len.max(local.index() + 1), UNKNOWN);
-        }
-        self.fwd[local.index()] = match shared {
-            Some(s) => {
-                self.rev.insert(spread(s), local);
-                s.0
+    /// The id here of the term `id` denotes in `src`, interning only the
+    /// nodes this arena lacks. `src`'s ids below its own are taken to be
+    /// this arena's: `src` was detached from an overlay over this arena
+    /// (or is standalone, with no such ids). `map` carries translations
+    /// from one call to the next (pass an empty map for a one-off).
+    /// Iterative, so terms of any depth cross.
+    pub fn adopt(&mut self, src: &TermArena<'_>, id: TermId, map: &mut IdMap<TermId>) -> TermId {
+        let image = |map: &IdMap<TermId>, id: TermId| {
+            if src.in_base(id) {
+                Some(id)
+            } else {
+                map.get(&id).copied()
             }
-            None => ABSENT,
         };
-    }
-
-    /// The id in `shared` of the term `id` denotes in `local`, if `shared`
-    /// holds it. Never writes `shared`, so a read lock suffices.
-    pub fn probe(&mut self, local: &TermArena, shared: &TermArena, id: TermId) -> Option<TermId> {
-        let mut stack = std::mem::take(&mut self.stack);
-        post_order(local, id, &mut stack, |n, visit| {
-            if !visit {
-                return self.fwd(n) == UNKNOWN;
+        if let Some(known) = image(map, id) {
+            return known;
+        }
+        let mut stack = vec![(id, false)];
+        let mut args = Vec::new();
+        while let Some((next, expanded)) = stack.pop() {
+            // A subterm shared within the walk may be pushed twice; whichever
+            // copy pops second finds it translated.
+            if image(map, next).is_some() {
+                continue;
             }
-            let found =
-                shared.find_image(local.structural_hash(n), local.node(n), |c| self.present(c));
-            self.set(n, found, local.len());
-            true
-        });
-        self.stack = stack;
-        self.present(id)
-    }
-
-    /// Interns the term `id` denotes in `local` into `shared`, adding only
-    /// the nodes `shared` lacks, and returns its shared id.
-    pub fn export(&mut self, local: &TermArena, shared: &mut TermArena, id: TermId) -> TermId {
-        let mut stack = std::mem::take(&mut self.stack);
-        post_order(local, id, &mut stack, |n, visit| {
-            if !visit {
-                return self.present(n).is_none();
+            let node = src.node(next);
+            if !expanded {
+                stack.push((next, true));
+                match node {
+                    TermNode::App(_, xs) => stack.extend(xs.iter().map(|&a| (a, false))),
+                    TermNode::Ite(c, t, e) => stack.extend([(c, false), (t, false), (e, false)]),
+                    TermNode::Var(_) | TermNode::Error(_) => {}
+                }
+                continue;
             }
-            let node = remap(local.node(n), |c| self.present(c))
-                .expect("children are exported before their parent");
-            let s = shared.intern_node(node);
-            self.set(n, Some(s), local.len());
-            true
-        });
-        self.stack = stack;
-        self.present(id).expect("the root was exported")
-    }
-
-    /// Interns the term `id` denotes in `shared` into `local` and returns
-    /// its local id.
-    pub fn import(&mut self, local: &mut TermArena, shared: &TermArena, id: TermId) -> TermId {
-        let mut stack = std::mem::take(&mut self.stack);
-        post_order(shared, id, &mut stack, |s, visit| {
-            if !visit {
-                return !self.rev.contains_key(&spread(s));
-            }
-            let node = remap(shared.node(s), |c| self.rev.get(&spread(c)).copied())
-                .expect("children are imported before their parent");
-            let n = local.intern_node(node);
-            self.set(n, Some(s), local.len());
-            true
-        });
-        self.stack = stack;
-        self.rev[&spread(id)]
+            let child = |c: TermId| image(map, c).expect("children are adopted first");
+            let new = match node {
+                TermNode::App(op, xs) => {
+                    args.clear();
+                    args.extend(xs.iter().map(|&a| child(a)));
+                    self.app(op, &args)
+                }
+                TermNode::Ite(c, t, e) => self.ite(child(c), child(t), child(e)),
+                leaf => self.intern_node(leaf),
+            };
+            map.insert(next, new);
+        }
+        image(map, id).expect("the root was adopted")
     }
 }
 
@@ -779,38 +739,55 @@ mod tests {
         assert!(!arena.term_eq(e, &Term::Error(queue)));
     }
 
-    #[test]
-    fn links_translate_by_id_and_copy_only_missing_nodes() {
-        let sig = sig();
-        let mut shared = TermArena::new();
-        let mut local = TermArena::new();
-        let mut link = ArenaLink::new();
-        let three = local.intern(&chain(&sig, 3));
-        let front = local.intern(&sig.apply("FRONT", vec![chain(&sig, 3)]).unwrap());
-        // Nothing is shared yet; the miss is remembered for the run.
-        assert_eq!(link.probe(&local, &shared, front), None);
-        let s_three = link.export(&local, &mut shared, three);
-        assert_eq!(shared.to_term(s_three), chain(&sig, 3));
-        let before = shared.len();
-        let s_front = link.export(&local, &mut shared, front);
-        assert_eq!(shared.len(), before + 1, "only the FRONT node was missing");
-        assert_eq!(link.probe(&local, &shared, front), Some(s_front));
-
-        // A second run finds the shared ids and imports by id.
-        let mut other = TermArena::new();
-        let mut other_link = ArenaLink::new();
-        let o_front = other.intern(&sig.apply("FRONT", vec![chain(&sig, 3)]).unwrap());
-        assert_eq!(other_link.probe(&other, &shared, o_front), Some(s_front));
-        let four = shared.intern(&chain(&sig, 4));
-        let o_four = other_link.import(&mut other, &shared, four);
-        assert_eq!(other.to_term(o_four), chain(&sig, 4));
-        assert_eq!(other_link.probe(&other, &shared, o_four), Some(four));
+    fn front(sig: &Signature, n: usize) -> Term {
+        sig.apply("FRONT", vec![chain(sig, n)]).unwrap()
     }
 
     #[test]
-    fn deep_terms_cross_links_without_native_recursion() {
-        // Same shape as the interning test below, through export, probe
-        // and import.
+    fn overlays_read_the_base_in_place_and_add_only_new_nodes() {
+        let sig = sig();
+        let mut base = TermArena::new();
+        let three = base.intern(&chain(&sig, 3));
+        let before = base.len();
+        let mut run = TermArena::over(&base);
+        assert_eq!(run.intern(&chain(&sig, 3)), three, "base ids are read in place");
+        let f = run.intern(&front(&sig, 3));
+        assert!(!run.in_base(f));
+        assert_eq!(run.intern(&front(&sig, 3)), f, "the top hash-conses too");
+        let a = run.intern(&sig.apply("A", vec![]).unwrap());
+        let four = run.app(sig.find_op("ADD").unwrap(), &[three, a]);
+        assert_eq!(run.to_term(four), chain(&sig, 4));
+        assert!(run.is_ground(four));
+
+        // Only what is adopted crosses back, and only the missing nodes.
+        let top = run.detach();
+        let published = base.adopt(&top, f, &mut IdMap::default());
+        assert_eq!(base.len(), before + 1, "only the FRONT node was missing");
+        assert_eq!(base.to_term(published), front(&sig, 3));
+        assert_eq!(TermArena::over(&base).intern(&front(&sig, 3)), published);
+    }
+
+    #[test]
+    fn adoption_dedups_against_nodes_the_base_gained_meanwhile() {
+        // The run reads a snapshot; another run publishes the same term
+        // into the base before this one's nodes are adopted.
+        let sig = sig();
+        let mut base = TermArena::new();
+        base.intern(&chain(&sig, 2));
+        let snapshot = base.clone();
+        let mut run = TermArena::over(&snapshot);
+        let f = run.intern(&front(&sig, 3));
+        let top = run.detach();
+        let theirs = base.intern(&front(&sig, 3));
+        let before = base.len();
+        assert_eq!(base.adopt(&top, f, &mut IdMap::default()), theirs);
+        assert_eq!(base.len(), before);
+    }
+
+    #[test]
+    fn deep_terms_adopt_without_native_recursion() {
+        // Same shape as the interning test below, across arenas, into an
+        // overlay, and back out of its top.
         std::thread::Builder::new()
             .stack_size(64 << 20)
             .spawn(|| {
@@ -822,23 +799,21 @@ mod tests {
                 for _ in 0..depth {
                     t = Term::App(add, vec![t, a.clone()]);
                 }
-                let mut local = TermArena::new();
-                let id = local.intern(&t);
-                let mut shared = TermArena::new();
-                let mut link = ArenaLink::new();
-                assert_eq!(link.probe(&local, &shared, id), None);
-                let s = link.export(&local, &mut shared, id);
-                assert_eq!(shared.depth(s) as usize, depth + 1);
+                let mut src = TermArena::new();
+                let id = src.intern(&t);
+                let mut dst = TermArena::new();
+                let d = dst.adopt(&src, id, &mut IdMap::default());
+                assert_eq!(dst.depth(d) as usize, depth + 1);
                 let mut fresh = TermArena::new();
-                let mut fresh_link = ArenaLink::new();
-                let back = fresh_link.import(&mut fresh, &shared, s);
+                let mut run = TermArena::over(&fresh);
+                let o = run.adopt(&dst, d, &mut IdMap::default());
+                let top = run.detach();
+                let back = fresh.adopt(&top, o, &mut IdMap::default());
                 assert!(fresh.term_eq(back, &t));
-                let mut again = ArenaLink::new();
-                assert_eq!(again.probe(&fresh, &shared, back), Some(s));
             })
             .expect("spawns")
             .join()
-            .expect("deep translation must not overflow the stack");
+            .expect("deep adoption must not overflow the stack");
     }
 
     #[test]

@@ -77,7 +77,7 @@ mod unify;
 
 pub mod display;
 
-pub use arena::{ArenaLink, TermArena, TermId, TermNode};
+pub use arena::{IdHasher, IdMap, TermArena, TermId, TermNode};
 pub use axiom::Axiom;
 pub use error::{CoreError, EngineError};
 pub use fuel::{ExhaustionCause, Fuel, FuelSpent, DEFAULT_FUEL_STEPS, DEFAULT_MAX_DEPTH};
@@ -85,7 +85,7 @@ pub use ids::{OpId, SortId, VarId};
 pub use matching::{match_pattern, match_pattern_at_root};
 pub use rng::DetRng;
 pub use rules::{Rule, RuleSet};
-pub use session::{NfMemo, Session, SessionStats};
+pub use session::{MemoRead, NfMemo, Session, SessionStats};
 pub use signature::{OpInfo, Signature, SortInfo, VarInfo};
 pub use spec::{Spec, SpecBuilder};
 pub use subst::Subst;

@@ -14,11 +14,27 @@
 //! # Id-boundary rules
 //!
 //! [`TermId`]s handed out by [`Session::intern`] are *session-local*: they
-//! index the session arena and are meaningless anywhere else. The
-//! evaluation hot path still runs on its own run-local arena (keeping it
-//! lock-free); terms cross between that arena and the session arena by id
-//! translation through an [`ArenaLink`], under the session arena's read
-//! lock for lookups and imports and its write lock for exports.
+//! index the session arena and are meaningless anywhere else. A
+//! normalization run that carries the session's memo evaluates over the
+//! session arena itself:
+//!
+//! * **One read guard per run.** The run takes the arena's read lock once
+//!   ([`NfMemo::read`]) and holds it to the end, reading session ids and
+//!   the normal-form table in place. Nodes the run creates go to a
+//!   run-local overlay ([`TermArena::over`]) whose ids continue the
+//!   session's, and which hash-conses against the arena without
+//!   allocating, so equal terms keep equal ids for the whole run. No lock
+//!   is taken while a rule fires.
+//! * **One publication per run.** A run that succeeds publishes its
+//!   context-free facts, and the overlay nodes they (or a normal form
+//!   handed back as a session id) reach, under one write lock
+//!   ([`NfMemo::publish`]). Facts derived under assumptions or while
+//!   tracing are never recorded, and a run that fails publishes nothing.
+//! * **No lock is awaited while another is held.** The read guard is
+//!   dropped before the write lock is requested, and no thread holds two
+//!   arena guards at once, so neither a writer queued behind readers nor
+//!   two memos used in opposite orders can deadlock.
+//!
 //! Materializing a [`Term`] from an id is always allowed (it is how
 //! anything escapes the session); storing a foreign arena's ids in the
 //! session — or session ids in any artifact that outlives the session —
@@ -34,15 +50,28 @@
 //! signature with **variables only** (case splits, superposition
 //! renamings) preserves both — and memo facts are ground, so they never
 //! mention a variable — while minting new operations (induction skolem
-//! constants) or adding rules (induction hypotheses) does not. Passes
-//! that extend the signature with operations must keep private,
-//! memo-less rewriters.
+//! constants) or adding rules (induction hypotheses, or any
+//! `add_rule`) does not. Passes that extend the signature with
+//! operations or the rules must keep private, memo-less rewriters.
+//!
+//! # Why the root-query cache is separate
+//!
+//! The session's root-query cache ([`Session::cached_nf`]) answers a root
+//! query only with the answer recorded for that root, non-ground roots
+//! included (`adt eval 'FRONT(ADD(q, i))'`, a symbolic REPL line).
+//! Folded into the memo table, a root query would be answered by any
+//! fact about its term, also one learned while evaluating another query,
+//! and would stop counting as a normalization — changing what
+//! [`SessionStats::normalizations`] reports. The table would also hold
+//! facts about terms with variables: evaluation never reads those (it
+//! consults the table only at ground applications), but the rule that
+//! makes sharing the table sound — every fact is ground — would no
+//! longer hold as stated.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::arena::{ArenaLink, TermArena, TermId};
+use crate::arena::{IdMap, TermArena, TermId};
 use crate::rules::RuleSet;
 use crate::signature::Signature;
 use crate::spec::Spec;
@@ -51,7 +80,7 @@ use crate::term::Term;
 /// A hash-consing arena and the normal-form facts recorded over its ids.
 #[derive(Debug, Default)]
 struct MemoStore {
-    arena: TermArena,
+    arena: TermArena<'static>,
     /// `nf[id.index()]` is the normal form of `id`, densely by id.
     nf: Vec<Option<TermId>>,
     /// Facts recorded (the `Some` entries of `nf`).
@@ -66,16 +95,11 @@ struct MemoStore {
 /// ids [`Session::intern`] hands out are the memo's ids. A memoizing
 /// rewriter that is not bound to a session owns a private one.
 ///
-/// Engines keep their lock-free run-local arenas and reach the memo
-/// through an [`ArenaLink`] per run: [`NfMemo::get`] translates the
-/// subject into memo ids under the read lock and imports a stored normal
-/// form by id; [`NfMemo::insert`] interns only the nodes the memo arena
-/// lacks under the write lock. No fact is ever materialized as a
-/// [`Term`]. The memo stores only context-free facts (ground term →
-/// normal form), so any interleaving of insertions from a worker pool
-/// yields the same lookups — sharing one memo across threads cannot
-/// change results. See the module docs for when sharing one memo across
-/// *rewriters* is sound.
+/// A run reads the memo through one [`MemoRead`] guard and records what
+/// it learned with one [`NfMemo::publish`] (see the module docs). The
+/// memo stores only context-free facts (ground term → normal form), so
+/// any interleaving of publications from a worker pool yields the same
+/// lookups — sharing one memo across threads cannot change results.
 ///
 /// Hit/miss totals are counted with relaxed atomics; they are telemetry
 /// (surfaced through [`SessionStats`]) and never affect results.
@@ -86,86 +110,88 @@ pub struct NfMemo {
     misses: AtomicU64,
 }
 
+/// One run's read access to an [`NfMemo`]: its arena, to evaluate over in
+/// an overlay, and its normal-form table. Holds the read lock until
+/// dropped, so the arena cannot change under the run's ids.
+#[derive(Debug)]
+pub struct MemoRead<'m> {
+    memo: &'m NfMemo,
+    store: RwLockReadGuard<'m, MemoStore>,
+}
+
+impl MemoRead<'_> {
+    /// The memo arena.
+    pub fn arena(&self) -> &TermArena<'static> {
+        &self.store.arena
+    }
+
+    /// The recorded normal form of `id`, counted as a hit or a miss. An
+    /// id past the arena (an overlay's own node) has no fact.
+    pub fn lookup(&self, id: TermId) -> Option<TermId> {
+        let found = self.store.nf.get(id.index()).copied().flatten();
+        let counter = if found.is_some() {
+            &self.memo.hits
+        } else {
+            &self.memo.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+}
+
 impl NfMemo {
     /// An empty memo over an empty arena.
     pub fn new() -> Self {
         NfMemo::default()
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, MemoStore> {
-        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    /// Read access for one run. Drop it before calling anything that
+    /// writes to this memo (or its session), [`NfMemo::publish`] first.
+    pub fn read(&self) -> MemoRead<'_> {
+        MemoRead {
+            memo: self,
+            store: self.store.read().unwrap_or_else(PoisonError::into_inner),
+        }
     }
 
     fn write(&self) -> RwLockWriteGuard<'_, MemoStore> {
         self.store.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up the normal form of the term `id` denotes in the run-local
-    /// arena `local`. On a hit the normal form is imported into `local`
-    /// and its local id returned. Read lock only, and none at all when
-    /// `link` already knows the memo arena lacks the term.
-    pub fn get(&self, link: &mut ArenaLink, local: &mut TermArena, id: TermId) -> Option<TermId> {
-        if !link.known_absent(id) {
-            let store = self.read();
-            let found = link
-                .probe(local, &store.arena, id)
-                .and_then(|key| store.nf.get(key.index()).copied().flatten());
-            if let Some(nf) = found {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(link.import(local, &store.arena, nf));
+    /// Publishes one successful run under one write lock: each fact
+    /// `(term, normal form)` and each of `roots`, in the ids of a run over
+    /// the memo arena whose overlay was detached as `top`
+    /// ([`TermArena::detach`]), is adopted into the memo arena — the
+    /// overlay nodes they reach that the arena lacks are interned — and
+    /// the facts are recorded. Returns the memo ids of `roots`, in order.
+    ///
+    /// Another run may have recorded the same fact meanwhile; the first
+    /// record stands (both are the same normal form). With no facts and
+    /// only base roots, no lock is taken.
+    pub fn publish(
+        &self,
+        top: &TermArena<'_>,
+        facts: &[(TermId, TermId)],
+        roots: &[TermId],
+    ) -> Vec<TermId> {
+        if facts.is_empty() && roots.iter().all(|&r| top.in_base(r)) {
+            return roots.to_vec();
+        }
+        let mut store = self.write();
+        let MemoStore { arena, nf, entries } = &mut *store;
+        let mut map = IdMap::default();
+        for &(key, value) in facts {
+            let key = arena.adopt(top, key, &mut map);
+            let value = arena.adopt(top, value, &mut map);
+            if nf.len() <= key.index() {
+                nf.resize(arena.len(), None);
+            }
+            if nf[key.index()].is_none() {
+                nf[key.index()] = Some(value);
+                *entries += 1;
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Records that `normal` is the normal form of `id` (both ids of the
-    /// run-local arena `local`), interning whatever the memo arena lacks.
-    /// Write lock. Another worker may have raced us to the same fact;
-    /// the first record stands (both are the same normal form).
-    pub fn insert(&self, link: &mut ArenaLink, local: &TermArena, id: TermId, normal: TermId) {
-        let mut store = self.write();
-        let key = link.export(local, &mut store.arena, id);
-        let value = link.export(local, &mut store.arena, normal);
-        let MemoStore { arena, nf, entries } = &mut *store;
-        if nf.len() <= key.index() {
-            nf.resize(arena.len(), None);
-        }
-        if nf[key.index()].is_none() {
-            nf[key.index()] = Some(value);
-            *entries += 1;
-        }
-    }
-
-    /// Imports the memo-arena term `id` into `local` (read lock).
-    pub fn import(&self, link: &mut ArenaLink, local: &mut TermArena, id: TermId) -> TermId {
-        link.import(local, &self.read().arena, id)
-    }
-
-    /// Interns the `local` term `id` into the memo arena and returns its
-    /// memo id (write lock).
-    pub fn export(&self, link: &mut ArenaLink, local: &TermArena, id: TermId) -> TermId {
-        link.export(local, &mut self.write().arena, id)
-    }
-
-    /// Facts currently recorded.
-    pub fn len(&self) -> usize {
-        self.read().entries
-    }
-
-    /// Whether the memo holds no facts.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookup hits so far (telemetry; relaxed ordering).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookup misses so far (telemetry; relaxed ordering).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        roots.iter().map(|&r| arena.adopt(top, r, &mut map)).collect()
     }
 }
 
@@ -224,10 +250,10 @@ impl SessionStats {
 /// plus the counters behind [`SessionStats`].
 ///
 /// A session is `Sync`: the arena and its memo table sit behind one
-/// `RwLock`, taken at API boundaries (interning in, materializing out)
-/// and by memo lookups and inserts, and the counters are atomics.
-/// Engines rewrite on their own run-local arenas, so no session lock is
-/// held while a rule fires.
+/// `RwLock`, taken at API boundaries (interning in, materializing out),
+/// for reading by each normalization run and for writing by each run's
+/// publication, and the counters are atomics. Rules fire under the read
+/// lock only, so any number of runs proceed together.
 ///
 /// ```
 /// use adt_core::{Session, SpecBuilder, Term};
@@ -252,10 +278,10 @@ pub struct Session {
     /// The session arena and the cross-run normal-form table over it.
     memo: Arc<NfMemo>,
     /// Session-id → session-id normal forms of the *root* queries routed
-    /// through the session API, kept apart from the memo table (which
-    /// also holds facts learned from subterms). Sound because entries are
-    /// only recorded by engines running the session's own rule set.
-    nf_cache: Mutex<HashMap<TermId, TermId>>,
+    /// through the session API, non-ground ones included, kept apart from
+    /// the memo table (see the module docs for why). Sound because entries
+    /// are only recorded by engines running the session's own rule set.
+    nf_cache: Mutex<IdMap<TermId>>,
     nf_hits: AtomicU64,
     normalizations: AtomicU64,
     rewrite_steps: AtomicU64,
@@ -269,7 +295,7 @@ impl Session {
             spec,
             rules,
             memo: Arc::new(NfMemo::new()),
-            nf_cache: Mutex::new(HashMap::new()),
+            nf_cache: Mutex::new(IdMap::default()),
             nf_hits: AtomicU64::new(0),
             normalizations: AtomicU64::new(0),
             rewrite_steps: AtomicU64::new(0),
@@ -309,13 +335,13 @@ impl Session {
     ///
     /// Panics if `id` did not come from this session.
     pub fn term(&self, id: TermId) -> Term {
-        self.memo.read().arena.to_term(id)
+        self.memo.read().arena().to_term(id)
     }
 
     /// Whether the denoted term is structurally equal to `term`, without
     /// materializing (read lock).
     pub fn term_eq(&self, id: TermId, term: &Term) -> bool {
-        self.memo.read().arena.term_eq(id, term)
+        self.memo.read().arena().term_eq(id, term)
     }
 
     /// The cached normal form of a session id, if one was recorded.
@@ -353,12 +379,13 @@ impl Session {
 
     /// A snapshot of the session's counters.
     pub fn stats(&self) -> SessionStats {
-        let store = self.memo.read();
+        let read = self.memo.read();
+        let store = &read.store;
         SessionStats {
             interned_terms: store.arena.len(),
             arena_bytes: store.arena.approx_bytes(),
-            memo_hits: self.memo.hits(),
-            memo_misses: self.memo.misses(),
+            memo_hits: self.memo.hits.load(Ordering::Relaxed),
+            memo_misses: self.memo.misses.load(Ordering::Relaxed),
             memo_entries: store.entries,
             nf_cache_hits: self.nf_hits.load(Ordering::Relaxed),
             normalizations: self.normalizations.load(Ordering::Relaxed),
@@ -415,32 +442,63 @@ mod tests {
     }
 
     #[test]
-    fn memo_counts_hits_and_misses() {
+    fn memo_runs_read_in_place_and_publish_once() {
         let memo = NfMemo::new();
-        let mut link = ArenaLink::new();
-        let mut local = TermArena::new();
         let spec = tiny_spec();
         let zero = spec.sig().apply("ZERO", vec![]).unwrap();
         let t = spec.sig().apply("IS_ZERO?", vec![zero]).unwrap();
-        let id = local.intern(&t);
-        let nf = local.intern(&spec.sig().tt());
-        assert_eq!(memo.get(&mut link, &mut local, id), None);
-        memo.insert(&mut link, &local, id, nf);
-        assert_eq!(memo.get(&mut link, &mut local, id), Some(nf));
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.misses(), 1);
-        assert_eq!(memo.len(), 1);
-        assert!(!memo.is_empty());
-        // A fresh run (new local arena and link) finds the fact by id and
-        // imports the normal form into its own arena.
-        let mut other = TermArena::new();
-        let mut other_link = ArenaLink::new();
-        let succ_free = other.intern(&spec.sig().ff());
-        let id2 = other.intern(&t);
-        let hit = memo.get(&mut other_link, &mut other, id2).unwrap();
-        assert_ne!(hit, succ_free);
-        assert_eq!(other.to_term(hit), spec.sig().tt());
-        assert_eq!(memo.hits(), 2);
+        // A run over the empty memo: everything lives in its overlay.
+        let (top, key, nf) = {
+            let read = memo.read();
+            let mut run = TermArena::over(read.arena());
+            let key = run.intern(&t);
+            assert_eq!(read.lookup(key), None);
+            let nf = run.intern(&spec.sig().tt());
+            (run.detach(), key, nf)
+        };
+        let published = memo.publish(&top, &[(key, nf)], &[key]);
+        assert_eq!(memo.read().store.entries, 1);
+        // A later run reads the fact by id, in place.
+        let read = memo.read();
+        let mut run = TermArena::over(read.arena());
+        let again = run.intern(&t);
+        assert_eq!(again, published[0]);
+        let hit = read.lookup(again).unwrap();
+        assert_eq!(read.arena().to_term(hit), spec.sig().tt());
+        let counts = (memo.hits.load(Ordering::Relaxed), memo.misses.load(Ordering::Relaxed));
+        assert_eq!(counts, (1, 1));
+        // Publishing nothing new takes no lock and changes nothing.
+        assert_eq!(memo.publish(&run.detach(), &[], &[again]), vec![again]);
+        drop(read);
+        assert_eq!(memo.read().store.entries, 1);
+    }
+
+    #[test]
+    fn two_runs_publishing_one_fact_agree_on_its_ids() {
+        // Both runs read the same snapshot and learn the same fact; the
+        // second publication finds the first one's nodes and fact.
+        let session = Session::new(tiny_spec());
+        let sig = session.sig();
+        let zero = sig.apply("ZERO", vec![]).unwrap();
+        let one = sig.apply("SUCC", vec![zero]).unwrap();
+        let t = sig.apply("IS_ZERO?", vec![one]).unwrap();
+        let memo = session.memo();
+        let learn = || {
+            let read = memo.read();
+            let mut run = TermArena::over(read.arena());
+            let key = run.intern(&t);
+            let nf = run.intern(&sig.ff());
+            (run.detach(), key, nf)
+        };
+        let (first, second) = (learn(), learn());
+        let published = memo.publish(&first.0, &[(first.1, first.2)], &[first.1, first.2]);
+        let stats = session.stats();
+        let again = memo.publish(&second.0, &[(second.1, second.2)], &[second.1, second.2]);
+        assert_eq!(again, published);
+        assert_eq!(session.stats(), stats, "nothing new the second time");
+        assert_eq!(stats.memo_entries, 1);
+        assert!(session.term_eq(published[0], &t));
+        assert_eq!(memo.read().lookup(published[0]), Some(published[1]));
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! # The hash-consed hot path
 //!
 //! The public API speaks [`Term`] — an ordinary boxed tree — but the
-//! evaluator itself runs on [`TermId`]s drawn from a per-normalization
-//! [`TermArena`]. Interning gives the hot loop three things the tree
-//! representation cannot:
+//! evaluator itself runs on [`TermId`]s of a [`TermArena`]. Interning
+//! gives the hot loop three things the tree representation cannot:
 //!
 //! * **O(1) equality** — hash-consing makes structural equality an id
 //!   compare, so condition decisions, assumption lookups, branch
@@ -20,13 +19,14 @@
 //!   the matched subject fragments outright; no subtree is ever copied
 //!   to be substituted.
 //!
-//! The arena is run-local: run ids never escape a normalization, so the
-//! rewriter stays `Sync` without any locking while rules fire, and
-//! observable behaviour — normal forms, step counts, traces, exhaustion
-//! receipts — is byte-identical to the tree-walking evaluator it
-//! replaced. Terms leave the run either as [`Term`]s (the tree API) or
-//! by id translation through an [`ArenaLink`] (the session API and the
-//! memo).
+//! Each run's arena is an overlay ([`TermArena::over`]): it reads a base
+//! arena in place — the rewriter's memo arena, which for
+//! [`Rewriter::for_session`] is the session arena — and keeps only the
+//! nodes the run creates. Its own ids never escape the run, so the
+//! rewriter stays `Sync` with no lock but the base's read lock held while
+//! rules fire, and observable behaviour — normal forms, step counts,
+//! traces, exhaustion receipts — is byte-identical to the tree-walking
+//! evaluator it replaced.
 //!
 //! # Rules are not interned per run
 //!
@@ -43,22 +43,15 @@
 //! # The memo and the session surface
 //!
 //! The cross-run memo is an [`NfMemo`]: one long-lived arena plus a table
-//! from the id of a ground application to the id of its normal form. Each
-//! run keeps one [`ArenaLink`] to it, so a lookup translates only subject
-//! nodes the run has not translated before (under the memo's read lock),
-//! a hit imports the stored normal form by id, and an insert interns only
-//! the nodes the memo arena lacks (under its write lock). Only
-//! applications evaluated outside assumption contexts and traces are
-//! keys, so the memo never changes a normal form, a step count of a cold
-//! run, or a trace.
-//!
-//! Memo soundness is about indices: the memo's ids stand for ground terms
-//! built from operation and sort indices, so two rewriters may share one
-//! memo only if their rules agree and their signatures give the same
-//! indices to the same operations and sorts. A signature extended with
-//! variables only (consistency's renamed pair spec, the representation
-//! proof's case splits) qualifies; induction, which mints operations and
-//! adds hypothesis rules, keeps a memo-less rewriter.
+//! from the id of a ground application to the id of its normal form. A
+//! run that carries one takes its read guard once and evaluates over its
+//! arena, so a lookup is one array read. The facts the run learns, and
+//! the nodes they reach, are published under one write lock if it
+//! succeeds. Only applications evaluated outside assumption contexts and
+//! traces are keys, so the memo never changes a normal form, a step count
+//! of a cold run, or a trace. Two rewriters may share one memo only if
+//! their rules agree and their signatures index operations and sorts
+//! alike (see [`adt_core::Session`]'s memo-soundness rule).
 //!
 //! A [`Session`] owns the cross-check shared state (spec, compiled rules,
 //! and an [`NfMemo`] whose arena is the session arena).
@@ -73,8 +66,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use adt_core::{
-    ArenaLink, ExhaustionCause, Fuel, FuelSpent, NfMemo, OpId, Session, SortId, Spec, Supervisor,
-    Term, TermArena, TermId, TermNode, VarId,
+    ExhaustionCause, Fuel, FuelSpent, IdMap, MemoRead, NfMemo, OpId, Session, SortId, Spec,
+    Supervisor, Term, TermArena, TermId, TermNode, VarId,
 };
 
 use crate::error::RewriteError;
@@ -129,6 +122,10 @@ impl Proof {
 /// equality coincide with structural equality, so a lookup is a linear
 /// scan of `u32` compares.
 type Assumptions = Vec<(TermId, bool)>;
+
+/// Context-free facts a run learned for the memo — (term, normal form)
+/// in the run's ids — published only if the run succeeds.
+type Facts = Vec<(TermId, TermId)>;
 
 fn lookup(asms: &Assumptions, cond: TermId) -> Option<bool> {
     asms.iter().rev().find(|&&(t, _)| t == cond).map(|&(_, b)| b)
@@ -295,64 +292,85 @@ pub struct Rewriter<'a> {
     /// cloning a memoizing rewriter *shares* the memo (clones are how
     /// callers derive same-rules variants, e.g. with a different budget,
     /// and facts stay valid across those), and [`Rewriter::for_session`]
-    /// shares the session's memo the same way.
+    /// shares the session's memo the same way. [`Rewriter::add_rule`]
+    /// detaches it.
     memo: Option<Arc<NfMemo>>,
     /// Cooperative supervision (deadline/cancellation), polled by every
     /// normalization this rewriter runs. Inert by default.
     supervisor: Supervisor,
 }
 
-/// Per-normalization working state: the arena all terms of this run live
-/// in, plus the run's caches over it.
+/// Per-normalization working state: the overlay all terms of this run
+/// live in, plus the run's caches over it.
 ///
-/// A fresh context is built for every [`Rewriter::run`] call. Arenas are
-/// append-only and unsynchronized, so run-local contexts are what keep
-/// the rewriter `Sync` — the parallel checker shares one rewriter across
-/// its workers — with zero locks on the evaluation path, and what
-/// guarantee ids never leak between runs. Rules are not part of the
-/// context: they are matched straight from the rewriter's [`RuleSet`],
-/// so building a context interns only the two boolean constants.
-struct RunCx {
-    arena: TermArena,
-    /// Translations between `arena` and the rewriter's memo arena, so
-    /// memo lookups and inserts cross by id (unused without a memo).
-    link: ArenaLink,
+/// A fresh context is built for every run. The overlay reads its base
+/// (the memo arena, or an empty one) in place and owns only the nodes the
+/// run creates, so a context costs nothing proportional to the base, and
+/// run-local contexts are what keep the rewriter `Sync` — the parallel
+/// checker shares one rewriter across its workers — and guarantee overlay
+/// ids never leak between runs. Rules are not part of the context: they
+/// are matched straight from the rewriter's [`RuleSet`].
+struct RunCx<'b> {
+    arena: TermArena<'b>,
+    /// The memo table read in place, when the run consults one (its
+    /// arena is `arena`'s base).
+    memo: Option<&'b MemoRead<'b>>,
+    /// Facts learned for the memo.
+    facts: Facts,
     /// The interned boolean constants: deciding a condition is an id
     /// compare against these.
     tt: TermId,
     ff: TermId,
-    /// Context-free evaluation results: `cache[id.index()]` is the
-    /// normal form of `id`, filled in as subterms finish evaluating
-    /// outside assumption contexts and traces. This is what makes
-    /// re-examining an already-normalized subterm O(1): innermost
+    /// Context-free evaluation results, filled in as subterms finish
+    /// evaluating outside assumption contexts and traces. This is what
+    /// makes re-examining an already-normalized subterm O(1): innermost
     /// rewriting otherwise re-walks the whole normalized portion of the
-    /// term after every step. Indexed densely by id — ids are arena
-    /// offsets — so a lookup is two array reads, no hashing.
+    /// term after every step. The run's own ids index `cache` densely
+    /// (offset by `base_len`), so a lookup is two array reads; base ids,
+    /// which run up to the size of the whole base, go to `base_cache`.
     cache: Vec<Option<TermId>>,
+    base_cache: IdMap<TermId>,
+    base_len: usize,
 }
 
-impl RunCx {
-    fn new(spec: &Spec) -> Self {
-        let mut arena = TermArena::new();
-        let tt = arena.intern(&spec.sig().tt());
-        let ff = arena.intern(&spec.sig().ff());
+impl<'b> RunCx<'b> {
+    fn new(spec: &Spec, base: &'b TermArena<'static>, memo: Option<&'b MemoRead<'b>>) -> Self {
+        let mut arena = TermArena::over(base);
+        let tt = arena.app(spec.sig().true_op(), &[]);
+        let ff = arena.app(spec.sig().false_op(), &[]);
         RunCx {
             arena,
-            link: ArenaLink::new(),
+            memo,
+            facts: Vec::new(),
             tt,
             ff,
             cache: Vec::new(),
+            // Sized for a typical session query, so the table rarely
+            // grows; a run over an empty base never uses it.
+            base_cache: IdMap::with_capacity_and_hasher(
+                if base.is_empty() { 0 } else { 64 },
+                Default::default(),
+            ),
+            base_len: base.len(),
         }
     }
 
     fn cached_nf(&self, id: TermId) -> Option<TermId> {
-        self.cache.get(id.index()).copied().flatten()
+        if self.arena.in_base(id) {
+            self.base_cache.get(&id).copied()
+        } else {
+            self.cache.get(id.index() - self.base_len).copied().flatten()
+        }
     }
 
     fn record_nf(&mut self, id: TermId, nf: TermId) {
-        let index = id.index();
+        if self.arena.in_base(id) {
+            self.base_cache.insert(id, nf);
+            return;
+        }
+        let index = id.index() - self.base_len;
         if self.cache.len() <= index {
-            self.cache.resize(self.arena.len(), None);
+            self.cache.resize(index + 1, None);
         }
         self.cache[index] = Some(nf);
     }
@@ -368,7 +386,7 @@ impl RunCx {
 /// the subject. Recursion is bounded by the *pattern* (axiom-sized),
 /// never by the subject.
 fn match_id(
-    arena: &TermArena,
+    arena: &TermArena<'_>,
     pattern: &Term,
     subject: TermId,
     bindings: &mut Vec<(VarId, TermId)>,
@@ -381,9 +399,9 @@ fn match_id(
                 true
             }
         },
-        (Term::Error(a), TermNode::Error(b)) => a == b,
+        (Term::Error(a), TermNode::Error(b)) => *a == b,
         (Term::App(f, ps), TermNode::App(g, ss)) => {
-            f == g
+            *f == g
                 && ps.len() == ss.len()
                 && ps
                     .iter()
@@ -391,9 +409,9 @@ fn match_id(
                     .all(|(p, &s)| match_id(arena, p, s, bindings))
         }
         (Term::Ite(p), TermNode::Ite(sc, st, se)) => {
-            match_id(arena, &p.cond, *sc, bindings)
-                && match_id(arena, &p.then_branch, *st, bindings)
-                && match_id(arena, &p.else_branch, *se, bindings)
+            match_id(arena, &p.cond, sc, bindings)
+                && match_id(arena, &p.then_branch, st, bindings)
+                && match_id(arena, &p.else_branch, se, bindings)
         }
         _ => false,
     }
@@ -407,7 +425,7 @@ fn match_id(
 /// O(axiom), never O(subject). An unbound template variable instantiates
 /// to itself, mirroring `Subst::apply`. Recursion is bounded by the
 /// template.
-fn instantiate(arena: &mut TermArena, template: &Term, bindings: &[(VarId, TermId)]) -> TermId {
+fn instantiate(arena: &mut TermArena<'_>, template: &Term, bindings: &[(VarId, TermId)]) -> TermId {
     match template {
         Term::Var(v) => match bindings.iter().find(|(bound_var, _)| bound_var == v) {
             Some(&(_, bound)) => bound,
@@ -415,11 +433,11 @@ fn instantiate(arena: &mut TermArena, template: &Term, bindings: &[(VarId, TermI
         },
         Term::Error(s) => arena.error(*s),
         Term::App(op, args) => {
-            let args = args
+            let args: Vec<TermId> = args
                 .iter()
                 .map(|a| instantiate(arena, a, bindings))
                 .collect();
-            arena.app(*op, args)
+            arena.app(*op, &args)
         }
         Term::Ite(ite) => {
             let c = instantiate(arena, &ite.cond, bindings);
@@ -432,7 +450,7 @@ fn instantiate(arena: &mut TermArena, template: &Term, bindings: &[(VarId, TermI
 
 /// Rebuilds an `if-then-else` over interned parts as a plain term, for
 /// trace output only — never on the untraced path.
-fn reify_ite(arena: &TermArena, cond: TermId, then_id: TermId, else_id: TermId) -> Term {
+fn reify_ite(arena: &TermArena<'_>, cond: TermId, then_id: TermId, else_id: TermId) -> Term {
     Term::ite(
         arena.to_term(cond),
         arena.to_term(then_id),
@@ -562,8 +580,15 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Adds an extra rule (tried after earlier rules with the same head).
+    ///
+    /// Detaches any cross-run memo: its facts were derived — and others
+    /// sharing it would read them — under the old rules, so an extended
+    /// rewriter must neither read nor extend it. Clones made before the
+    /// call keep it; call [`Rewriter::memoizing`] afterwards for a
+    /// private one.
     pub fn add_rule(&mut self, rule: Rule) {
         self.rules.to_mut().add(rule);
+        self.memo = None;
     }
 
     /// The rule set in use.
@@ -601,48 +626,74 @@ impl<'a> Rewriter<'a> {
     /// its normal form.
     ///
     /// The session's id-keyed root-query cache is consulted first (a
-    /// hit costs one map probe, no evaluation, and no fuel); on a miss
-    /// the term is imported by id into a run-local arena, run through
-    /// the ordinary hot path — plus the session's shared cross-run memo,
-    /// if this rewriter carries it — and the normal form is exported
-    /// back by id and recorded, along with the step count, in the
-    /// session's counters. No [`Term`] tree is built on either side.
+    /// hit costs one map probe, no evaluation, and no fuel). On a miss
+    /// the run evaluates over the session arena in place, with the
+    /// session's memo if this rewriter carries it, and publishes its
+    /// facts and the normal form into the session when it succeeds. No
+    /// [`Term`] tree is built on either side. A rewriter carrying some
+    /// other memo evaluates over that memo's arena instead, and the query
+    /// and its normal form cross between the two by id.
     ///
-    /// **Contract:** this rewriter's rules must equal the session's
-    /// (guaranteed by [`Rewriter::for_session`]); otherwise the recorded
-    /// normal forms would poison the session cache for every other
-    /// caller. Budgets may differ: a successful normal form is the same
-    /// under any budget that reaches it. Conversely, a caller relying on
-    /// exhaustion at a *tiny* budget (fault injection) must not route
-    /// through the session — a cache or memo hit would return the normal
-    /// form without spending the fuel the caller expects to run out.
+    /// **Contract:** the root-query cache is read and written only when
+    /// this rewriter borrows the session's own rules
+    /// ([`Rewriter::for_session`]); budgets may differ, since a
+    /// successful normal form is the same under any budget that reaches
+    /// it. Conversely, a caller relying on exhaustion at a *tiny* budget
+    /// (fault injection) must not route through the session — a cache or
+    /// memo hit would return the normal form without spending the fuel
+    /// the caller expects to run out.
     ///
     /// # Errors
     ///
     /// As for [`Rewriter::normalize`].
     pub fn normalize_id(&self, session: &Session, id: TermId) -> Result<TermId> {
-        if let Some(nf) = session.cached_nf(id) {
-            return Ok(nf);
+        let own_rules =
+            matches!(self.rules, Cow::Borrowed(rules) if std::ptr::eq(rules, session.rules()));
+        if own_rules {
+            if let Some(nf) = session.cached_nf(id) {
+                return Ok(nf);
+            }
         }
-        let target = session.memo();
         let mut st = EvalState::new(&self.budget, self.supervisor.clone(), None);
-        let mut cx = RunCx::new(self.spec);
-        // A rewriter carrying the session's memo translates through the
-        // run's own link, so the query's nodes are known to the memo
-        // probes for free; any other rewriter needs a separate link.
-        let shared = self.memo.as_ref().is_some_and(|m| Arc::ptr_eq(m, target));
-        let mut separate = (!shared).then(ArenaLink::new);
-        let root = target.import(separate.as_mut().unwrap_or(&mut cx.link), &mut cx.arena, id);
-        let nf = self.eval(&mut cx, root, &mut st, &Vec::new())?;
-        let nf = target.export(separate.as_mut().unwrap_or(&mut cx.link), &cx.arena, nf);
-        session.record_nf(id, nf);
+        // The run evaluates over the arena of this rewriter's memo, or of
+        // the session's without one. A foreign memo's arena lacks the
+        // session's ids, so the query and the normal form cross by id,
+        // through standalone copies: no thread holds two arenas' locks.
+        let target: &NfMemo = session.memo();
+        let own = self.memo.as_deref().unwrap_or(target);
+        let foreign = !std::ptr::eq(own, target);
+        let query = foreign.then(|| {
+            let mut query = TermArena::new();
+            let q = query.adopt(target.read().arena(), id, &mut IdMap::default());
+            (query, q)
+        });
+        let read = own.read();
+        let memo = self.memo.is_some().then_some(&read);
+        let (arena, nf, facts) = self.run_over(read.arena(), memo, &mut st, |arena| {
+            let root = match &query {
+                Some((query, q)) => arena.adopt(query, *q, &mut IdMap::default()),
+                None => id,
+            };
+            (root, Vec::new())
+        })?;
+        let top = arena.detach();
+        drop(read);
+        let mut nf = own.publish(&top, &facts, &[nf])[0];
+        if foreign {
+            let mut answer = TermArena::new();
+            let a = answer.adopt(own.read().arena(), nf, &mut IdMap::default());
+            nf = target.publish(&answer, &[], &[a])[0];
+        }
+        if own_rules {
+            session.record_nf(id, nf);
+        }
         session.note_normalization(st.steps);
         Ok(nf)
     }
 
     /// Normalizes a term, recording every step in a [`Trace`].
     ///
-    /// This routes through the same run-local arena hot path as
+    /// This routes through the same id-native hot path as
     /// [`Rewriter::normalize`] — terms are interned and rewritten by id,
     /// not tree-walked — so traced and untraced runs reach the same
     /// normal form by construction. What tracing changes is caching: a
@@ -662,7 +713,7 @@ impl<'a> Rewriter<'a> {
     /// Normalizes a term under contextual truth assumptions about stuck
     /// boolean terms.
     ///
-    /// Assumptions are interned into the same run-local arena as the
+    /// Assumptions are interned into the same run arena as the
     /// subject term, and evaluation runs on the identical id-native hot
     /// path as [`Rewriter::normalize`]. Subterms evaluated under a
     /// non-empty assumption context are excluded from the run cache and
@@ -696,7 +747,7 @@ impl<'a> Rewriter<'a> {
     /// first stuck condition and recursively closes each case.
     ///
     /// Every normalization inside the proof search runs on the shared
-    /// run-local arena hot path (see [`Rewriter::normalize_under`] for
+    /// id-native hot path (see [`Rewriter::normalize_under`] for
     /// how assumption contexts interact with the caches), so the proof a
     /// memoizing or session-backed rewriter finds is identical to a
     /// plain one's — the caches can change how much work is repeated,
@@ -763,22 +814,48 @@ impl<'a> Rewriter<'a> {
         if let Some(t) = &mut st.trace {
             t.set_initial(term);
         }
-        let mut cx = RunCx::new(self.spec);
-        let root = cx.arena.intern(term);
-        let asms: Assumptions = asms.iter().map(|(t, b)| (cx.arena.intern(t), *b)).collect();
-        let nf = self.eval(&mut cx, root, &mut st, &asms)?;
+        let read = self.memo.as_deref().map(NfMemo::read);
+        let empty = TermArena::new();
+        let base = read.as_ref().map_or(&empty, MemoRead::arena);
+        let (arena, nf, facts) = self.run_over(base, read.as_ref(), &mut st, |arena| {
+            let root = arena.intern(term);
+            (root, asms.iter().map(|(t, b)| (arena.intern(t), *b)).collect())
+        })?;
+        let (nf, top) = (arena.to_term(nf), arena.detach());
+        drop(read);
+        if let Some(memo) = &self.memo {
+            memo.publish(&top, &facts, &[]);
+        }
         Ok((
             Normalization {
-                term: cx.arena.to_term(nf),
+                term: nf,
                 steps: st.steps,
             },
             st.trace,
         ))
     }
 
+    /// One run over `base`, reading `memo`'s table when given one (whose
+    /// arena `base` must then be): `input` interns the subject and its
+    /// assumptions into the run's overlay. Returns the overlay, the normal
+    /// form and the facts learned for the memo, for the caller to read
+    /// out and, once the read guard is gone, publish.
+    fn run_over<'b>(
+        &self,
+        base: &'b TermArena<'static>,
+        memo: Option<&'b MemoRead<'b>>,
+        st: &mut EvalState,
+        input: impl FnOnce(&mut TermArena<'b>) -> (TermId, Assumptions),
+    ) -> Result<(TermArena<'b>, TermId, Facts)> {
+        let mut cx = RunCx::new(self.spec, base, memo);
+        let (root, asms) = input(&mut cx.arena);
+        let nf = self.eval(&mut cx, root, st, &asms)?;
+        Ok((cx.arena, nf, cx.facts))
+    }
+
     fn eval(
         &self,
-        cx: &mut RunCx,
+        cx: &mut RunCx<'_>,
         id: TermId,
         st: &mut EvalState,
         asms: &Assumptions,
@@ -791,7 +868,7 @@ impl<'a> Rewriter<'a> {
 
     fn eval_memo(
         &self,
-        cx: &mut RunCx,
+        cx: &mut RunCx<'_>,
         id: TermId,
         st: &mut EvalState,
         asms: &Assumptions,
@@ -810,15 +887,15 @@ impl<'a> Rewriter<'a> {
             }
         }
         // Ground-subterm memoization (see `memoizing`): only applications
-        // are worth caching. Groundness is a cached bit; the probe
-        // translates only nodes this run has not translated before.
-        let memo_key = match &self.memo {
+        // are worth caching. Groundness is a cached bit, and the table is
+        // read in place by id.
+        let memo_key = match cx.memo {
             Some(memo)
                 if cacheable
                     && matches!(cx.arena.node(id), TermNode::App(_, _))
                     && cx.arena.is_ground(id) =>
             {
-                if let Some(nf) = memo.get(&mut cx.link, &mut cx.arena, id) {
+                if let Some(nf) = memo.lookup(id) {
                     cx.record_nf(id, nf);
                     return Ok(nf);
                 }
@@ -834,15 +911,15 @@ impl<'a> Rewriter<'a> {
             // argument elsewhere.
             cx.record_nf(result, result);
         }
-        if let (Some(memo), Some(key)) = (&self.memo, memo_key) {
-            memo.insert(&mut cx.link, &cx.arena, key, result);
+        if let Some(key) = memo_key {
+            cx.facts.push((key, result));
         }
         Ok(result)
     }
 
     fn eval_loop(
         &self,
-        cx: &mut RunCx,
+        cx: &mut RunCx<'_>,
         id: TermId,
         st: &mut EvalState,
         asms: &Assumptions,
@@ -852,8 +929,7 @@ impl<'a> Rewriter<'a> {
         loop {
             match cx.arena.node(current) {
                 TermNode::Var(_) | TermNode::Error(_) => return Ok(current),
-                TermNode::Ite(c, t, e) => {
-                    let (c, then_id, else_id) = (*c, *t, *e);
+                TermNode::Ite(c, then_id, else_id) => {
                     let cond = self.eval(cx, c, st, asms)?;
                     let decided = if cond == cx.tt {
                         Some(true)
@@ -885,7 +961,6 @@ impl<'a> Rewriter<'a> {
                     }
                     // Stuck condition that is itself a conditional: lift it.
                     if let TermNode::Ite(c0, a, b) = cx.arena.node(cond) {
-                        let (c0, a, b) = (*c0, *a, *b);
                         st.tick(&self.budget)?;
                         let then_inner = cx.arena.ite(a, then_id, else_id);
                         let else_inner = cx.arena.ite(b, then_id, else_id);
@@ -924,7 +999,6 @@ impl<'a> Rewriter<'a> {
                     return Ok(cx.arena.ite(cond, t_nf, e_nf));
                 }
                 TermNode::App(op, args) => {
-                    let op = *op;
                     let args = args.to_vec();
                     let mut new_args = Vec::with_capacity(args.len());
                     for &a in &args {
@@ -954,7 +1028,7 @@ impl<'a> Rewriter<'a> {
                             .iter()
                             .enumerate()
                             .find_map(|(idx, &a)| match cx.arena.node(a) {
-                                TermNode::Ite(c, t, e) => Some((idx, *c, *t, *e)),
+                                TermNode::Ite(c, t, e) => Some((idx, c, t, e)),
                                 _ => None,
                             });
                     if let Some((idx, c, t, e)) = stuck_arg {
@@ -968,8 +1042,8 @@ impl<'a> Rewriter<'a> {
                         then_args[idx] = t;
                         let mut else_args = new_args;
                         else_args[idx] = e;
-                        let then_app = cx.arena.app(op, then_args);
-                        let else_app = cx.arena.app(op, else_args);
+                        let then_app = cx.arena.app(op, &then_args);
+                        let else_app = cx.arena.app(op, &else_args);
                         let lifted = cx.arena.ite(c, then_app, else_app);
                         if let Some(redex) = redex {
                             st.note("arg-lift", &redex, &cx.arena.to_term(lifted));
@@ -982,7 +1056,7 @@ impl<'a> Rewriter<'a> {
                     let subject = if new_args == args {
                         current
                     } else {
-                        cx.arena.app(op, new_args)
+                        cx.arena.app(op, &new_args)
                     };
                     let fired = self.rules.for_head(op).find(|rule| {
                         bindings.clear();
@@ -1008,7 +1082,7 @@ impl<'a> Rewriter<'a> {
 
     /// Rebuilds an application over interned arguments as a plain term,
     /// for trace output only.
-    fn reify_app(&self, arena: &TermArena, op: OpId, args: &[TermId]) -> Term {
+    fn reify_app(&self, arena: &TermArena<'_>, op: OpId, args: &[TermId]) -> Term {
         Term::App(op, args.iter().map(|&a| arena.to_term(a)).collect())
     }
 
@@ -1020,14 +1094,14 @@ impl<'a> Rewriter<'a> {
     /// when built, so no well-sortedness re-check happens here — and
     /// unlike `Term::sort` this never recurses into arguments, so it is
     /// safe on terms of any size.
-    fn branch_sort(&self, arena: &TermArena, mut id: TermId) -> Result<SortId> {
+    fn branch_sort(&self, arena: &TermArena<'_>, mut id: TermId) -> Result<SortId> {
         let sig = self.spec.sig();
         loop {
             match arena.node(id) {
-                TermNode::Var(v) => return Ok(sig.var(*v).sort()),
-                TermNode::Error(s) => return Ok(*s),
-                TermNode::App(op, _) => return Ok(sig.try_op(*op)?.result()),
-                TermNode::Ite(_, t, _) => id = *t,
+                TermNode::Var(v) => return Ok(sig.var(v).sort()),
+                TermNode::Error(s) => return Ok(s),
+                TermNode::App(op, _) => return Ok(sig.try_op(op)?.result()),
+                TermNode::Ite(_, t, _) => id = t,
             }
         }
     }

@@ -3,11 +3,13 @@
 //! exactly the normal forms the sequential engine produces, with no
 //! deadlock — the property the parallel checking engine relies on when it
 //! shares a rewriter across its worker pool. Also: the session table
-//! under concurrent interning, isolation between memos, and terms far
-//! deeper than the native stack crossing the memo boundary.
+//! under concurrent interning, isolation between memos, terms far deeper
+//! than the native stack crossing the memo boundary, and the publication
+//! rules — only a successful, context-free run with the memo's own rules
+//! adds anything to it.
 
-use adt_core::{DetRng, Fuel, Session};
-use adt_rewrite::Rewriter;
+use adt_core::{CancelToken, DetRng, Fuel, Rule, Session, SessionStats, Supervisor, Term};
+use adt_rewrite::{RewriteError, Rewriter};
 use adt_structures::specs::{queue_spec, symboltable_spec};
 
 /// Builds a ground Queue term of `adds` enqueues then `removes` dequeues,
@@ -138,7 +140,7 @@ fn memoized_results_stay_correct_after_concurrent_warmup() {
 
 #[test]
 fn session_table_exports_race_main_thread_interning() {
-    // Pool workers normalize by id through the session table (exporting
+    // Pool workers normalize by id through the session table (publishing
     // facts into the session arena) while the main thread keeps interning
     // unrelated terms into the same arena. Every normal form must match
     // the sequential engine, and every id the main thread got must still
@@ -243,9 +245,9 @@ fn deep_ground_queues_cross_the_memo_boundary_without_native_recursion() {
     // the chunk; that, and building and dropping the input `Term`s (whose
     // clone and drop recurse), runs on a thread with a large stack. The
     // final queries then move whole 50k-deep terms across the boundary —
-    // query import, probe, hit import, normal-form export — on a thread
-    // with a small stack, where any native recursion over the term would
-    // overflow.
+    // copied out of one session, hit in the table, the normal form copied
+    // into another — on a thread with a small stack, where any native
+    // recursion over the term would overflow.
     std::thread::Builder::new()
         .stack_size(256 << 20)
         .spawn(|| {
@@ -285,18 +287,17 @@ fn deep_ground_queues_cross_the_memo_boundary_without_native_recursion() {
                     .stack_size(1 << 20)
                     .spawn_scoped(scope, || {
                         // Into another session through this table: the
-                        // query is imported by the rewriter's own link for
-                        // that session, probed and hit in the table, the
-                        // normal form imported, and the 50k-deep result
-                        // exported into a session holding none of it.
+                        // query is copied by id into the table's arena and
+                        // hit there, and the 50k-deep normal form is
+                        // copied into a session holding none of it.
                         let nf = rw.normalize_id(&other, other.intern(&query)).unwrap();
                         assert!(other.term_eq(nf, &rest));
                         assert_eq!(other.stats().rewrite_steps, 0);
                         assert_eq!(other.stats().memo_entries, 0);
 
                         // In the table's own session: a new root whose
-                        // argument's normal form is imported on a hit, so
-                        // only IS_EMPTY? fires.
+                        // argument's normal form is read in place on a
+                        // hit, so only IS_EMPTY? fires.
                         let answer = rw.normalize_id(&session, session.intern(&outer)).unwrap();
                         assert_eq!(session.term(answer), sig.ff());
                         assert_eq!(session.stats().rewrite_steps, 1);
@@ -309,4 +310,151 @@ fn deep_ground_queues_cross_the_memo_boundary_without_native_recursion() {
         .expect("spawns")
         .join()
         .expect("deep memo traffic must not overflow the stack");
+}
+
+#[test]
+fn an_extended_rewriter_does_not_write_into_the_session_memo() {
+    // An extra rule turns ADD(NEW, A) into ADD(NEW, B). Whatever the
+    // extended rewriter derives with it must stay out of the session:
+    // the spec's own answer to FRONT(ADD(NEW, A)) is A.
+    let spec = queue_spec();
+    let sig = spec.sig();
+    let new = sig.apply("NEW", vec![]).unwrap();
+    let item = |name: &str| sig.apply(name, vec![]).unwrap();
+    let with_a = sig.apply("ADD", vec![new.clone(), item("A")]).unwrap();
+    let with_b = sig.apply("ADD", vec![new, item("B")]).unwrap();
+    let query = sig.apply("FRONT", vec![with_a.clone()]).unwrap();
+
+    let session = Session::new(spec.clone());
+    let mut extended = Rewriter::for_session(&session);
+    extended.add_rule(Rule::new("a_to_b", with_a, with_b));
+    assert_eq!(extended.normalize(&query).unwrap(), item("B"));
+    let id = session.intern(&query);
+    let nf = extended.normalize_id(&session, id).unwrap();
+    assert_eq!(session.term(nf), item("B"));
+
+    let nf = Rewriter::for_session(&session)
+        .normalize_id(&session, id)
+        .unwrap();
+    assert_eq!(session.term(nf), item("A"), "the session memo was poisoned");
+    let tree = Rewriter::for_session(&session).normalize(&query).unwrap();
+    assert_eq!(tree, item("A"));
+}
+
+/// The symbol-table state after `ops` random operations, drawn from `rng`.
+fn symtab_state(spec: &adt_core::Spec, ops: usize, rng: &mut DetRng) -> Term {
+    let sig = spec.sig();
+    let ids = ["ID_X", "ID_Y", "ID_Z"];
+    let attrs = ["ATTR_1", "ATTR_2", "ATTR_3"];
+    let mut state = sig.apply("INIT", vec![]).unwrap();
+    for _ in 0..ops {
+        state = match rng.below(6) {
+            0 => sig.apply("ENTERBLOCK", vec![state]).unwrap(),
+            1 => sig.apply("LEAVEBLOCK", vec![state]).unwrap(),
+            _ => {
+                let id = sig.apply(ids[rng.below(3)], vec![]).unwrap();
+                let attr = sig.apply(attrs[rng.below(3)], vec![]).unwrap();
+                sig.apply("ADD", vec![state, id, attr]).unwrap()
+            }
+        };
+    }
+    state
+}
+
+/// The memo-visible part of a session's stats.
+fn footprint(stats: &SessionStats) -> (usize, usize) {
+    (stats.interned_terms, stats.memo_entries)
+}
+
+#[test]
+fn failed_assumption_and_traced_runs_publish_nothing() {
+    let spec = symboltable_spec();
+    let sig = spec.sig();
+    let mut rng = DetRng::new(21);
+    let state = symtab_state(&spec, 12, &mut rng);
+    let id_x = sig.apply("ID_X", vec![]).unwrap();
+    let query = sig.apply("RETRIEVE", vec![state, id_x.clone()]).unwrap();
+    let session = Session::new(spec.clone());
+    let qid = session.intern(&query);
+    let before = footprint(&session.stats());
+    let unchanged = |what: &str| assert_eq!(footprint(&session.stats()), before, "{what}");
+
+    // Out of fuel after one step, by id and as a tree.
+    let starved = Rewriter::for_session(&session).with_budget(Fuel::steps(1));
+    let exhausted =
+        |r: Result<(), RewriteError>| matches!(r, Err(RewriteError::Exhausted { .. }));
+    assert!(exhausted(starved.normalize_id(&session, qid).map(drop)));
+    assert!(exhausted(starved.normalize(&query).map(drop)));
+    unchanged("exhausted runs");
+
+    // Cancelled before the first step.
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled =
+        Rewriter::for_session(&session).supervised(Supervisor::none().with_cancel(token));
+    let interrupted =
+        |r: Result<(), RewriteError>| matches!(r, Err(RewriteError::Interrupted { .. }));
+    assert!(interrupted(cancelled.normalize_id(&session, qid).map(drop)));
+    assert!(interrupted(cancelled.normalize(&query).map(drop)));
+    unchanged("interrupted runs");
+
+    // Under an assumption, and traced: both succeed, neither publishes.
+    let rw = Rewriter::for_session(&session);
+    let assumption = sig.apply("ISSAME?", vec![id_x.clone(), id_x]).unwrap();
+    let want = Rewriter::new(&spec).normalize(&query).unwrap();
+    assert_eq!(rw.normalize_under(&query, &[(assumption, true)]).unwrap(), want);
+    unchanged("a run under assumptions");
+    let (nf, trace) = rw.normalize_traced(&query).unwrap();
+    assert_eq!(nf, want);
+    assert!(!trace.axioms_used().is_empty());
+    unchanged("a traced run");
+
+    // The same query, run plainly, does publish.
+    let nf = rw.normalize_id(&session, qid).unwrap();
+    assert_eq!(session.term(nf), want);
+    let after = footprint(&session.stats());
+    assert!(after.1 > before.1, "a successful run records its facts");
+}
+
+#[test]
+fn eight_threads_on_one_session_agree_with_the_reference_engine() {
+    // Every thread interns its own queries into the shared session while
+    // the others run and publish, and asks for them in its own order.
+    let spec = symboltable_spec();
+    let sig = spec.sig();
+    let mut rng = DetRng::new(0x5EED);
+    let mut queries = Vec::new();
+    for _ in 0..40 {
+        let state = symtab_state(&spec, 4 + rng.below(40), &mut rng);
+        let id = sig.apply(["ID_X", "ID_Y", "ID_Z"][rng.below(3)], vec![]).unwrap();
+        let op = ["RETRIEVE", "IS_INBLOCK?"][rng.below(2)];
+        queries.push(sig.apply(op, vec![state, id]).unwrap());
+    }
+    let reference = Rewriter::new(&spec);
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|q| reference.normalize_reference(q).map(|n| n.term))
+        .collect();
+
+    let session = Session::new(spec.clone());
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let (session, queries, expected) = (&session, &queries, &expected);
+            scope.spawn(move || {
+                let rw = Rewriter::for_session(session);
+                for round in 0..2 {
+                    for k in 0..queries.len() {
+                        let idx = (k * (2 * t + 1) + round * 5 + t) % queries.len();
+                        let qid = session.intern(&queries[idx]);
+                        let got = rw.normalize_id(session, qid).map(|nf| session.term(nf));
+                        match (&got, &expected[idx]) {
+                            (Ok(got), Ok(want)) => assert_eq!(got, want, "query {idx}, thread {t}"),
+                            (got, want) => assert_eq!(got.is_ok(), want.is_ok(), "query {idx}"),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert!(session.stats().memo_entries > 0);
 }

@@ -145,8 +145,8 @@ fn a_warm_session_table_agrees_with_the_reference_engine_on_every_probe() {
     // The consistency check fills the session's normal-form table from
     // its renamed pair spec (a vars-only extension) and from its probes.
     // Every probe term normalized afterwards through that warm table —
-    // by id, importing stored normal forms — must equal the tree-walking
-    // reference engine's answer.
+    // by id, reading stored normal forms in place — must equal the
+    // tree-walking reference engine's answer.
     let probe = ProbeConfig::default();
     for (name, source) in sources::all() {
         let spec =
