@@ -15,32 +15,38 @@
 //! synthetic spec is orthogonal — it has no critical pairs — so the join
 //! row runs on the 256-axiom member with a twin of every axiom (512
 //! axioms, 512 pairs that all join). The `pipeline` rows time the whole
-//! completeness + consistency check at 1 and 4 workers; they are
-//! end-to-end rows, not a scaling measurement.
+//! completeness + consistency check at 1 and 4 workers, each iteration in
+//! a session built inside the timed closure, as `adt check` builds one
+//! per run; they are end-to-end rows, not a scaling measurement. The
+//! completeness rows share one session across iterations: the analysis
+//! reads only the session's specification, so it stays cold anyway.
 
 use adt_bench::harness::Group;
 use adt_bench::workloads::{synthetic_spec as synthetic, with_twin_axioms};
 use adt_check::{
-    check_completeness, check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig,
+    check_completeness_session, check_consistency_session, probe_terms, CheckConfig, ProbeConfig,
 };
+use adt_core::Session;
 use adt_rewrite::{classify_superposition, superpositions, Rewriter};
 
 fn main() {
     let group = Group::new("checker_scaling");
 
     for &(ctors, obs) in &[(2usize, 4usize), (4, 16), (8, 32), (16, 64)] {
-        let spec = synthetic(ctors, obs);
+        let session = Session::new(synthetic(ctors, obs));
         group.bench(&format!("complete/{ctors}ctors_{obs}obs"), || {
-            let report = check_completeness(std::hint::black_box(&spec));
+            let report =
+                check_completeness_session(std::hint::black_box(&session), &CheckConfig::default());
             assert!(report.is_sufficiently_complete());
             report.coverage().len()
         });
     }
 
     // The incomplete case (witness synthesis) on the paper's own example.
-    let incomplete = adt_structures::specs::queue_spec_incomplete();
+    let incomplete = Session::new(adt_structures::specs::queue_spec_incomplete());
     group.bench("incomplete/queue_minus_axiom4", || {
-        let report = check_completeness(std::hint::black_box(&incomplete));
+        let report =
+            check_completeness_session(std::hint::black_box(&incomplete), &CheckConfig::default());
         assert_eq!(report.missing_case_count(), 1);
         report.missing_case_count()
     });
@@ -82,18 +88,22 @@ fn main() {
             })
             .sum::<usize>()
     });
+    let session = Session::new(spec.clone());
     group.bench("phase_completeness/512ax", || {
-        let report = check_completeness(std::hint::black_box(&spec));
+        let report =
+            check_completeness_session(std::hint::black_box(&session), &CheckConfig::default());
         assert!(report.is_sufficiently_complete());
         report.coverage().len()
     });
 
     // The whole check end to end.
     for jobs in [1usize, 4] {
+        let config = CheckConfig::jobs(jobs);
         group.bench(&format!("pipeline/512ax_jobs{jobs}"), || {
-            let comp = check_completeness_jobs(std::hint::black_box(&spec), jobs);
+            let session = Session::new(std::hint::black_box(&spec).clone());
+            let comp = check_completeness_session(&session, &config);
             assert!(comp.is_sufficiently_complete());
-            let cons = check_consistency_jobs(&spec, &probe, jobs);
+            let cons = check_consistency_session(&session, &probe, &config);
             (comp.coverage().len(), cons.pairs_checked())
         });
     }

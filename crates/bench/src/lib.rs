@@ -941,9 +941,10 @@ mod tests {
 
     #[test]
     fn synthetic_specs_are_complete() {
-        use adt_check::check_completeness;
-        let spec = synthetic_spec(4, 8);
-        assert!(check_completeness(&spec).is_sufficiently_complete());
+        use adt_check::{check_completeness_session, CheckConfig};
+        let session = adt_core::Session::new(synthetic_spec(4, 8));
+        let report = check_completeness_session(&session, &CheckConfig::default());
+        assert!(report.is_sufficiently_complete());
     }
 
     mod report {

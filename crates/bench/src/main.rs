@@ -23,7 +23,9 @@ use adt_bench::report::{regressions, BenchRecord, BenchReport};
 use adt_bench::workloads::{
     queue_term, symtab_term, symtab_trace, synthetic_spec, with_twin_axioms, SymOp,
 };
-use adt_check::{check_completeness_jobs, check_consistency_jobs, probe_terms, ProbeConfig};
+use adt_check::{
+    check_completeness_session, check_consistency_session, probe_terms, CheckConfig, ProbeConfig,
+};
 use adt_core::{display, Deadline, Session, Supervisor};
 use adt_dsl::{parse_module, parse_term_id};
 use adt_rewrite::{classify_superposition, superpositions, Rewriter};
@@ -221,18 +223,26 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
     // every axiom (512 axioms, 512 joinable pairs).
     {
         let g = group("checker_scaling");
+        // Completeness reads only the session's specification, so one
+        // session per row stays cold across iterations; the pipeline rows
+        // build theirs inside the timed closure, as `adt check` does.
         let small = synthetic_spec(8, 32);
+        let small_session = Session::new(small.clone());
         push(
             "checker_scaling",
             "complete/8ctors_32obs",
             g.bench("complete/8ctors_32obs", || {
-                let report = adt_check::check_completeness(std::hint::black_box(&small));
+                let report = check_completeness_session(
+                    std::hint::black_box(&small_session),
+                    &CheckConfig::default(),
+                );
                 assert!(report.is_sufficiently_complete());
                 report.coverage().len()
             }),
         );
 
         let big = synthetic_spec(8, 64);
+        let big_session = Session::new(big.clone());
         push(
             "checker_scaling",
             "phase_enumerate/512ax",
@@ -282,19 +292,24 @@ fn run_benchmarks(quick: bool) -> Vec<BenchRecord> {
             "checker_scaling",
             "phase_completeness/512ax",
             g.bench("phase_completeness/512ax", || {
-                let report = adt_check::check_completeness(std::hint::black_box(&big));
+                let report = check_completeness_session(
+                    std::hint::black_box(&big_session),
+                    &CheckConfig::default(),
+                );
                 assert!(report.is_sufficiently_complete());
                 report.coverage().len()
             }),
         );
         for jobs in [1usize, 4] {
+            let config = CheckConfig::jobs(jobs);
             push(
                 "checker_scaling",
                 &format!("pipeline/512ax_jobs{jobs}"),
                 g.bench(&format!("pipeline/512ax_jobs{jobs}"), || {
-                    let comp = check_completeness_jobs(std::hint::black_box(&big), jobs);
+                    let session = Session::new(std::hint::black_box(&big).clone());
+                    let comp = check_completeness_session(&session, &config);
                     assert!(comp.is_sufficiently_complete());
-                    let cons = check_consistency_jobs(&big, &probe, jobs);
+                    let cons = check_consistency_session(&session, &probe, &config);
                     (comp.coverage().len(), cons.pairs_checked())
                 }),
             );

@@ -426,61 +426,31 @@ fn analyze_op(spec: &Spec, op: OpId, case_budget: usize) -> OpAnalysis {
     }
 }
 
-/// Checks the sufficient completeness of a specification.
+/// Checks the sufficient completeness of a session's specification.
 ///
 /// Every non-constructor, non-builtin operation is analysed; for each, the
 /// left-hand sides of its axioms are compiled to a pattern matrix, and
 /// missing constructor cases are enumerated (up to an internal bound of 64
 /// witnesses per operation, which no sane specification approaches).
 ///
-/// Runs on the calling thread; see [`check_completeness_jobs`] for the
-/// parallel variant (whose report is identical apart from timing stats).
-pub fn check_completeness(spec: &Spec) -> CompletenessReport {
-    check_completeness_jobs(spec, 1)
-}
-
-/// [`check_completeness`] with the per-operation analysis fanned out
-/// across `jobs` worker threads (`0` = every available core).
-///
-/// The expensive phase — pattern-matrix construction and missing-case
-/// enumeration — is independent per operation and runs in parallel. The
-/// cheap phase — materializing witness terms, which mints fresh variables
-/// in a shared signature — runs sequentially afterwards, in
-/// operation-declaration order. The report is therefore *identical* to the
-/// sequential one, byte for byte, at any job count; only
-/// [`CompletenessReport::stats`] timings differ.
-pub fn check_completeness_jobs(spec: &Spec, jobs: usize) -> CompletenessReport {
-    check_completeness_with_config(spec, &CheckConfig::jobs(jobs))
-}
-
-/// [`check_completeness`] under an explicit [`CheckConfig`]: worker
-/// count, fuel budget (a cap on case partitions examined per operation),
-/// and an optional fault-injection plan.
+/// `config` sets the worker count, the fuel budget (a cap on case
+/// partitions examined per operation), the retry ladder, the supervisor
+/// and an optional fault-injection plan. The expensive phase —
+/// pattern-matrix construction and missing-case enumeration — is
+/// independent per operation and runs on the worker pool. The cheap
+/// phase — materializing witness terms, which mints fresh variables in a
+/// shared signature — runs sequentially afterwards, in
+/// operation-declaration order. The report is therefore *identical* at
+/// any job count, byte for byte; only [`CompletenessReport::stats`]
+/// timings differ. The analysis is pure pattern arithmetic: it reads the
+/// session's specification and leaves its arena and memo untouched.
 ///
 /// Robustness contract: a panicking analysis worker surfaces as
 /// [`Coverage::Failed`] for its operation only, an exhausted budget as
 /// [`Coverage::Exhausted`] — neither can take down the run or disturb
 /// any other operation's verdict.
-pub fn check_completeness_with_config(spec: &Spec, config: &CheckConfig) -> CompletenessReport {
-    completeness_impl(spec, config, None)
-}
-
-/// [`check_completeness_with_config`] running inside a [`Session`]: the
-/// analysis itself is pure pattern arithmetic (the pool's work items are
-/// already ids — the derived [`OpId`]s), but every materialized witness
-/// term is additionally interned into the session arena, so downstream
-/// consumers (consistency probing over the prompts, the differential
-/// harness, the CLI) hold handles into one workspace instead of private
-/// copies. The report is byte-identical to the fresh-spec variant.
 pub fn check_completeness_session(session: &Session, config: &CheckConfig) -> CompletenessReport {
-    completeness_impl(session.spec(), config, Some(session))
-}
-
-fn completeness_impl(
-    spec: &Spec,
-    config: &CheckConfig,
-    session: Option<&Session>,
-) -> CompletenessReport {
+    let spec = session.spec();
     let derived: Vec<OpId> = spec.derived_ops().collect();
     let armed = match &config.faults {
         Some(faults) => faults.arm("completeness", derived.len()),
@@ -493,25 +463,22 @@ fn completeness_impl(
     let case_budget = usize::try_from(config.fuel.steps.min(CASE_BUDGET as u64)).unwrap_or(usize::MAX);
     // Escalated partition budgets for exhausted analyses, never above the
     // safety valve (only budgets that actually grow make a rung).
+    let mut prev = case_budget;
     let budget_ladder: Vec<(u32, usize)> = config
         .retry
-        .map(|retry| {
-            let mut out = Vec::new();
-            let mut prev = case_budget;
-            for rung in 1..=retry.rungs {
-                let next =
-                    usize::try_from(retry.fuel_at(Fuel::steps(case_budget as u64), rung).steps)
-                        .unwrap_or(usize::MAX)
-                        .min(CASE_BUDGET);
-                if next <= prev {
-                    break;
-                }
-                prev = next;
-                out.push((rung, next));
-            }
-            out
+        .map(|retry| retry.ladder(Fuel::steps(case_budget as u64)))
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(rung, fuel)| {
+            let steps = usize::try_from(fuel.steps).unwrap_or(usize::MAX);
+            (rung, steps.min(CASE_BUDGET))
         })
-        .unwrap_or_default();
+        .take_while(|&(_, next)| {
+            let grows = next > prev;
+            prev = next;
+            grows
+        })
+        .collect();
     let run = run_isolated(
         config.jobs,
         &derived,
@@ -625,14 +592,6 @@ fn completeness_impl(
         };
         let missing: Vec<Term> = materialize_cases(&analysis.missing_cases, &mut sig);
         let frontier: Vec<Term> = materialize_cases(&analysis.frontier_cases, &mut sig);
-        if let Some(session) = session {
-            // Witnesses emit ids too: intern each into the session arena
-            // (hash-consed, so shared structure across witnesses costs
-            // nothing) for id-holding consumers downstream.
-            for witness in missing.iter().chain(frontier.iter()) {
-                session.intern(witness);
-            }
-        }
 
         let exhausted = !frontier.is_empty() || analysis.frontier_truncated > 0;
         coverage.push(OpCoverage {
@@ -927,6 +886,10 @@ mod tests {
     use super::*;
     use adt_core::SpecBuilder;
 
+    fn check(spec: &Spec) -> CompletenessReport {
+        check_completeness_session(&Session::new(spec.clone()), &CheckConfig::default())
+    }
+
     /// The complete Queue spec of §3.
     fn queue_spec(include_q4: bool) -> Spec {
         let mut b = SpecBuilder::new("Queue");
@@ -976,7 +939,7 @@ mod tests {
     #[test]
     fn complete_queue_passes() {
         let spec = queue_spec(true);
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         assert!(report.is_sufficiently_complete(), "{}", report.prompts());
         assert_eq!(report.missing_case_count(), 0);
         assert_eq!(report.coverage().len(), 3); // FRONT, REMOVE, IS_EMPTY?
@@ -986,7 +949,7 @@ mod tests {
     #[test]
     fn dropping_axiom_4_is_detected_with_the_right_witness() {
         let spec = queue_spec(false);
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         assert!(!report.is_sufficiently_complete());
         assert_eq!(report.missing_case_count(), 1);
         let front = spec.sig().find_op("FRONT").unwrap();
@@ -1007,7 +970,7 @@ mod tests {
         b.ctor("SUCC", [s], s);
         b.op("IS_ZERO?", [s], b.bool_sort());
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         assert!(!report.is_sufficiently_complete());
         // No axiom constrains IS_ZERO? at all: one all-open missing case.
         assert_eq!(report.missing_case_count(), 1);
@@ -1037,7 +1000,7 @@ mod tests {
             b.app(leave, [s]),
         );
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         assert!(report.is_sufficiently_complete(), "{}", report.prompts());
     }
 
@@ -1051,7 +1014,7 @@ mod tests {
         let leave = b.op("LEAVEBLOCK", [st], st);
         b.axiom("a1", b.app(leave, [b.app(init, [])]), Term::Error(st));
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         let leave_id = spec.sig().find_op("LEAVEBLOCK").unwrap();
         let cov = report.for_op(leave_id).unwrap();
         let Coverage::Missing(cases) = cov.coverage() else {
@@ -1074,7 +1037,7 @@ mod tests {
         let tt = b.tt();
         b.axiom("e1", b.app(eq, [b.app(zero, []), b.app(zero, [])]), tt);
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         let eq_id = spec.sig().find_op("EQ?").unwrap();
         let Coverage::Missing(cases) = report.for_op(eq_id).unwrap().coverage() else {
             panic!("expected missing");
@@ -1108,7 +1071,7 @@ mod tests {
         b.axiom("s1", b.app(same, [x.clone(), x]), tt);
         let _ = c;
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         let cov = &report.coverage()[0];
         assert!(!cov.is_complete());
         assert!(matches!(cov.notes()[0], PatternNote::NonLinear { .. }));
@@ -1130,7 +1093,7 @@ mod tests {
             b.app(c, []),
         );
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         let g_id = spec.sig().find_op("G").unwrap();
         let cov = report.for_op(g_id).unwrap();
         assert!(!cov.is_complete());
@@ -1152,14 +1115,14 @@ mod tests {
         let i = Term::Var(b.var("i", item));
         b.axiom("g1", b.app(get, [b.app(mk, [i.clone()])]), i);
         let spec = b.build().unwrap();
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         assert!(report.is_sufficiently_complete(), "{}", report.prompts());
     }
 
     #[test]
     fn axiom_counts_are_reported() {
         let spec = queue_spec(true);
-        let report = check_completeness(&spec);
+        let report = check(&spec);
         let front = spec.sig().find_op("FRONT").unwrap();
         assert_eq!(report.for_op(front).unwrap().axiom_count(), 2);
     }

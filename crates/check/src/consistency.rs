@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use adt_core::{
     display, match_pattern, DetRng, EngineError, ExhaustionCause, Fuel, FuelSpent, Interrupt, OpId,
-    Session, Signature, SortId, Spec, Term, TermId,
+    RuleSet, Session, Signature, SortId, Spec, Term,
 };
 use adt_rewrite::{
     classify_superposition, superpositions, CriticalPair, PairStatus, RewriteError, Rewriter,
@@ -262,34 +262,31 @@ fn distinguishable(sig: &Signature, a: &Term, b: &Term) -> bool {
     ground_value(a) && ground_value(b)
 }
 
-/// Checks the consistency of a specification with the default probe
-/// configuration.
-pub fn check_consistency(spec: &Spec) -> ConsistencyReport {
-    check_consistency_with(spec, &ProbeConfig::default())
-}
-
-/// Checks the consistency of a specification on the calling thread. See
-/// [`check_consistency_jobs`] for the parallel variant (whose report is
-/// identical apart from timing stats).
-pub fn check_consistency_with(spec: &Spec, probe: &ProbeConfig) -> ConsistencyReport {
-    check_consistency_jobs(spec, probe, 1)
-}
-
-/// [`check_consistency_with`] with both phases fanned out across `jobs`
-/// worker threads (`0` = every available core).
+/// Checks the consistency of a session's specification: critical pairs
+/// first, then randomized ground probes.
+///
+/// `config` sets the worker count, the resource budget, the retry ladder,
+/// the supervisor and (for harnesses testing the engine itself) a
+/// fault-injection plan.
 ///
 /// Determinism: superpositions are enumerated sequentially (their order
-/// defines the contradiction list order) and only *classified* in
-/// parallel; probe terms are sampled sequentially from the seeded RNG and
-/// only *normalized* in parallel. Both merges restore input order, so the
-/// report is byte-identical to the sequential one at any job count.
-pub fn check_consistency_jobs(spec: &Spec, probe: &ProbeConfig, jobs: usize) -> ConsistencyReport {
-    check_consistency_with_config(spec, probe, &CheckConfig::jobs(jobs))
-}
-
-/// [`check_consistency_jobs`] with a full [`CheckConfig`]: worker count,
-/// resource budget, and (for harnesses testing the engine itself) a
-/// fault-injection plan.
+/// defines the contradiction list order) and only *classified* on the
+/// worker pool; probe terms are sampled sequentially from the seeded RNG
+/// and only *normalized* on the pool. Both merges restore input order.
+///
+/// Both phases' rewriters share the session's cross-run memo (facts
+/// learned joining one pair speed up every probe, and persist for later
+/// checks). Sharing it with the pair phase's *extended* rewriters is
+/// sound: [`superpositions`] extends the signature with renamed variables
+/// only, so every operation and sort keeps its index, and the memo's ids
+/// (which stand for ground terms built from those indices) mean the same
+/// terms to both rewriters. A warm memo changes how fast a normal form is
+/// found, never which one, so reports are byte-identical at any job
+/// count and against a fresh session — unless some item's exhaustion is
+/// fuel-marginal: warm facts can only reduce the steps a normalization
+/// spends, which at a tight budget can turn an `Exhausted` verdict into a
+/// normal form. The deliberately tiny-budget rewriters of the
+/// exhaust-fault path therefore never carry the memo.
 ///
 /// Robustness guarantees:
 ///
@@ -299,45 +296,12 @@ pub fn check_consistency_jobs(spec: &Spec, probe: &ProbeConfig, jobs: usize) -> 
 /// * A work item whose worker panics (twice) is recorded in
 ///   [`ConsistencyReport::failures`]; every *other* item's verdict is
 ///   unaffected, byte for byte.
-pub fn check_consistency_with_config(
-    spec: &Spec,
-    probe: &ProbeConfig,
-    config: &CheckConfig,
-) -> ConsistencyReport {
-    consistency_impl(spec, probe, config, None)
-}
-
-/// [`check_consistency_with_config`] running inside a [`Session`]: both
-/// phases' rewriters share the session's cross-run memo (facts learned
-/// joining one pair speed up every probe, and persist for later checks),
-/// and probe terms are interned into the session arena so the worker pool
-/// ships [`TermId`]s instead of trees.
-///
-/// Sharing the memo with the pair phase's *extended* rewriter is sound:
-/// [`superpositions`] extends the signature with renamed variables only,
-/// so every operation and sort keeps its index, and the memo's ids (which
-/// stand for ground terms built from those indices) mean the same terms
-/// to both rewriters.
-/// Reports are byte-identical to [`check_consistency_with_config`]
-/// whenever no probe's exhaustion is fuel-marginal (warm memo facts can
-/// only reduce the steps a normalization spends, which at a tight budget
-/// can turn an `Exhausted` verdict into a normal form); deliberately
-/// tiny-budget rewriters — the exhaust-fault path — therefore never carry
-/// the memo.
 pub fn check_consistency_session(
     session: &Session,
     probe: &ProbeConfig,
     config: &CheckConfig,
 ) -> ConsistencyReport {
-    consistency_impl(session.spec(), probe, config, Some(session))
-}
-
-fn consistency_impl(
-    spec: &Spec,
-    probe: &ProbeConfig,
-    config: &CheckConfig,
-    session: Option<&Session>,
-) -> ConsistencyReport {
+    let spec = session.spec();
     let jobs = config.jobs;
     let faults = config.faults.clone().unwrap_or_default();
     let supervisor = config.supervisor.clone();
@@ -395,40 +359,8 @@ fn consistency_impl(
     } else {
         ArmedFaults::none()
     };
-    let mut ext_rw = Rewriter::new(&set.spec)
-        .with_budget(config.fuel)
-        .supervised(supervisor.clone());
-    if let Some(session) = session {
-        // Vars-only signature extension: op and sort indices (and so the
-        // ground terms the memo's ids stand for) agree with the session's,
-        // so sharing its memo is sound.
-        ext_rw = ext_rw.with_memo(Arc::clone(session.memo()));
-    }
-    // Deliberately memo-less (not a clone of `ext_rw`): the tiny budget
-    // exists to *exhaust* sabotaged items, and a warm memo hit would hand
-    // back the normal form without spending a single step.
-    let tiny_pair_rw = Rewriter::new(&set.spec).with_budget(Fuel::steps(1));
-    // One rewriter per retry rung, budgets escalating geometrically.
-    // Retrying *inside* the worker keeps every item's final verdict a
-    // function of (item, config) alone — byte-identical at any `--jobs`.
-    let pair_ladder: Vec<(u32, Rewriter<'_>)> = config
-        .retry
-        .map(|retry| {
-            retry
-                .ladder(config.fuel)
-                .into_iter()
-                .map(|(rung, fuel)| {
-                    let mut rw = Rewriter::new(&set.spec)
-                        .with_budget(fuel)
-                        .supervised(supervisor.clone());
-                    if let Some(session) = session {
-                        rw = rw.with_memo(Arc::clone(session.memo()));
-                    }
-                    (rung, rw)
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let pair_rules = RuleSet::from_spec(&set.spec);
+    let pair_rw = PhaseRewriters::new(&set.spec, &pair_rules, session, config);
     let pair_run = run_isolated(
         jobs,
         &set.superpositions,
@@ -439,7 +371,7 @@ fn consistency_impl(
                 // budget must stand, or the fault-isolation harness would
                 // be testing the ladder instead of the fault.
                 return Classified {
-                    pair: classify_superposition(&tiny_pair_rw, sp),
+                    pair: classify_superposition(&pair_rw.tiny, sp),
                     rung: 0,
                 };
             }
@@ -449,9 +381,9 @@ fn consistency_impl(
                     rung: 0,
                 };
             }
-            let mut pair = classify_superposition(&ext_rw, sp);
+            let mut pair = classify_superposition(&pair_rw.main, sp);
             let mut rung = 0;
-            for (r, rw) in &pair_ladder {
+            for (r, rw) in &pair_rw.ladder {
                 if !retryable_pair(&pair.status) {
                     break;
                 }
@@ -522,32 +454,7 @@ fn consistency_impl(
 
     // Phase 2: randomized ground probing — sequential sampling (the RNG
     // stream is one deterministic sequence), parallel normalization.
-    let mut rw = Rewriter::new(spec)
-        .with_budget(config.fuel)
-        .supervised(supervisor.clone());
-    if let Some(session) = session {
-        rw = rw.with_memo(Arc::clone(session.memo()));
-    }
-    // Memo-less for the same reason as `tiny_pair_rw` above.
-    let tiny_rw = Rewriter::new(spec).with_budget(Fuel::steps(1));
-    let probe_ladder: Vec<(u32, Rewriter<'_>)> = config
-        .retry
-        .map(|retry| {
-            retry
-                .ladder(config.fuel)
-                .into_iter()
-                .map(|(rung, fuel)| {
-                    let mut ladder_rw = Rewriter::new(spec)
-                        .with_budget(fuel)
-                        .supervised(supervisor.clone());
-                    if let Some(session) = session {
-                        ladder_rw = ladder_rw.with_memo(Arc::clone(session.memo()));
-                    }
-                    (rung, ladder_rw)
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let probe_rw = PhaseRewriters::new(spec, session.rules(), session, config);
     let probe_terms = probe_terms(spec, probe);
     let probes_run = probe_terms.len();
     let probe_faults = if faults.is_active() {
@@ -555,14 +462,12 @@ fn consistency_impl(
     } else {
         ArmedFaults::none()
     };
-    // The whole per-item policy (fault pinning, supervisor poll, retry
-    // ladder) in one closure shared by both pool modes below.
     let probe_one = |idx: usize, term: &Term| -> Probed {
         probe_faults.on_item(idx);
         if probe_faults.exhausts(idx) {
             // Rung 0, always: see the pair phase.
             return Probed {
-                out: probe_divergence(&tiny_rw, spec.sig(), term),
+                out: probe_divergence(&probe_rw.tiny, spec.sig(), term),
                 rung: 0,
             };
         }
@@ -572,9 +477,9 @@ fn consistency_impl(
                 rung: 0,
             };
         }
-        let mut out = probe_divergence(&rw, spec.sig(), term);
+        let mut out = probe_divergence(&probe_rw.main, spec.sig(), term);
         let mut rung = 0;
-        for (r, ladder_rw) in &probe_ladder {
+        for (r, ladder_rw) in &probe_rw.ladder {
             if !retryable_probe(&out) {
                 break;
             }
@@ -587,40 +492,16 @@ fn consistency_impl(
         }
         Probed { out, rung }
     };
-    let probe_run = match session {
-        // Session mode: the pool ships interned ids — workers materialize
-        // their own term from the shared arena (an exact round-trip, so
-        // verdict strings match the tree-shipping path byte for byte).
-        Some(session) => {
-            let probe_ids: Vec<TermId> = probe_terms.iter().map(|t| session.intern(t)).collect();
-            run_isolated(
-                jobs,
-                &probe_ids,
-                |idx, &id| probe_one(idx, &session.term(id)),
-                |idx, &id| {
-                    format!(
-                        "probe #{idx} ({})",
-                        display::term(spec.sig(), &session.term(id))
-                    )
-                },
-            )
-        }
-        None => run_isolated(
-            jobs,
-            &probe_terms,
-            |idx, term| probe_one(idx, term),
-            |idx, term| format!("probe #{idx} ({})", display::term(spec.sig(), term)),
-        ),
-    };
+    let probe_run = run_isolated(jobs, &probe_terms, probe_one, |idx, term| {
+        format!("probe #{idx} ({})", display::term(spec.sig(), term))
+    });
     stats.absorb(&probe_run.busy, probe_run.elapsed, probes_run);
     stats.probes_run = probes_run;
     for (idx, outcome) in probe_run.results.into_iter().enumerate() {
         match outcome {
             ItemOutcome::Done(Probed { out, rung }) => {
                 stats.rewrite_steps += out.steps;
-                if let Some(session) = session {
-                    session.note_normalization(out.steps);
-                }
+                session.note_normalization(out.steps);
                 if rung > 0 {
                     stats.retries.push(retry_note(
                         &format!(
@@ -708,6 +589,49 @@ struct Classified {
 struct Probed {
     out: ProbeOutcome,
     rung: u32,
+}
+
+/// The rewriters one consistency phase runs over `spec`: the first
+/// attempt, one per retry rung (budgets escalating geometrically), and
+/// the one-step rewriter for exhaust-faulted items.
+struct PhaseRewriters<'s> {
+    main: Rewriter<'s>,
+    /// Retrying *inside* the worker keeps every item's final verdict a
+    /// function of (item, config) alone — byte-identical at any `--jobs`.
+    ladder: Vec<(u32, Rewriter<'s>)>,
+    /// Deliberately bare — neither supervised nor sharing the memo: the
+    /// tiny budget exists to *exhaust* sabotaged items, and a warm memo
+    /// hit would hand back the normal form without spending a single
+    /// step.
+    tiny: Rewriter<'s>,
+}
+
+impl<'s> PhaseRewriters<'s> {
+    /// `spec` is the session's specification or a vars-only extension of
+    /// it, so sharing the session memo is sound (see
+    /// [`check_consistency_session`]); `rules` are its compiled axioms.
+    fn new(spec: &'s Spec, rules: &'s RuleSet, session: &Session, config: &CheckConfig) -> Self {
+        let warm = |fuel: Fuel| {
+            Rewriter::with_borrowed_rules(spec, rules)
+                .with_budget(fuel)
+                .supervised(config.supervisor.clone())
+                .with_memo(Arc::clone(session.memo()))
+        };
+        PhaseRewriters {
+            main: warm(config.fuel),
+            ladder: config
+                .retry
+                .map(|retry| {
+                    retry
+                        .ladder(config.fuel)
+                        .into_iter()
+                        .map(|(rung, fuel)| (rung, warm(fuel)))
+                        .collect()
+                })
+                .unwrap_or_default(),
+            tiny: Rewriter::with_borrowed_rules(spec, rules).with_budget(Fuel::steps(1)),
+        }
+    }
 }
 
 /// A critical pair the supervisor stopped before classification.
@@ -913,6 +837,14 @@ mod tests {
     use super::*;
     use adt_core::SpecBuilder;
 
+    fn check(spec: &Spec, probe: &ProbeConfig, config: &CheckConfig) -> ConsistencyReport {
+        check_consistency_session(&Session::new(spec.clone()), probe, config)
+    }
+
+    fn check_default(spec: &Spec) -> ConsistencyReport {
+        check(spec, &ProbeConfig::default(), &CheckConfig::default())
+    }
+
     fn consistent_spec() -> Spec {
         let mut b = SpecBuilder::new("Nat");
         let s = b.sort("Nat");
@@ -943,7 +875,7 @@ mod tests {
 
     #[test]
     fn consistent_spec_passes() {
-        let report = check_consistency(&consistent_spec());
+        let report = check_default(&consistent_spec());
         assert!(report.is_consistent(), "{}", report.summary());
         assert!(report.contradictions().is_empty());
         assert!(report.probes_run() > 0);
@@ -951,7 +883,7 @@ mod tests {
 
     #[test]
     fn contradiction_is_found_by_critical_pairs() {
-        let report = check_consistency(&inconsistent_spec());
+        let report = check_default(&inconsistent_spec());
         assert_eq!(report.verdict(), &ConsistencyVerdict::Inconsistent);
         assert!(report
             .contradictions()
@@ -978,7 +910,7 @@ mod tests {
             b.app(succ, [b.app(zero, [])]),
         );
         let spec = b.build().unwrap();
-        let report = check_consistency(&spec);
+        let report = check_default(&spec);
         assert_eq!(report.verdict(), &ConsistencyVerdict::Inconsistent);
     }
 
@@ -990,8 +922,8 @@ mod tests {
             max_depth: 4,
             seed: 7,
         };
-        let r1 = check_consistency_with(&spec, &cfg);
-        let r2 = check_consistency_with(&spec, &cfg);
+        let r1 = check(&spec, &cfg, &CheckConfig::default());
+        let r2 = check(&spec, &cfg, &CheckConfig::default());
         assert_eq!(r1.probes_run(), r2.probes_run());
         assert_eq!(r1.verdict(), r2.verdict());
     }
@@ -1000,8 +932,8 @@ mod tests {
     fn parallel_report_matches_sequential() {
         for spec in [consistent_spec(), inconsistent_spec()] {
             let cfg = ProbeConfig::default();
-            let seq = check_consistency_jobs(&spec, &cfg, 1);
-            let par = check_consistency_jobs(&spec, &cfg, 4);
+            let seq = check(&spec, &cfg, &CheckConfig::jobs(1));
+            let par = check(&spec, &cfg, &CheckConfig::jobs(4));
             assert_eq!(seq.verdict(), par.verdict());
             assert_eq!(seq.contradictions(), par.contradictions());
             assert_eq!(seq.pairs_checked(), par.pairs_checked());
@@ -1013,7 +945,7 @@ mod tests {
 
     #[test]
     fn stats_count_pairs_and_probes() {
-        let report = check_consistency(&consistent_spec());
+        let report = check_default(&consistent_spec());
         let stats = report.stats();
         assert_eq!(stats.pairs_checked, report.pairs_checked());
         assert_eq!(stats.probes_run, report.probes_run());
@@ -1037,7 +969,7 @@ mod tests {
             max_depth: 3,
             seed: 1,
         };
-        let seq = check_consistency_with_config(
+        let seq = check(
             &spec,
             &probe,
             &CheckConfig::jobs(1).with_fuel(Fuel::steps(50)),
@@ -1047,7 +979,7 @@ mod tests {
         assert_eq!(seq.exhausted_probes()[0].spent.steps, 50);
         assert!(seq.summary().contains("exhausted probe"), "{}", seq.summary());
 
-        let par = check_consistency_with_config(
+        let par = check(
             &spec,
             &probe,
             &CheckConfig::jobs(4).with_fuel(Fuel::steps(50)),
@@ -1061,7 +993,7 @@ mod tests {
         use crate::fault::FaultSpec;
         let spec = consistent_spec();
         let probe = ProbeConfig::default();
-        let clean = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(1));
+        let clean = check(&spec, &probe, &CheckConfig::jobs(1));
         let faults = FaultSpec {
             seed: 11,
             panics: 1,
@@ -1069,7 +1001,7 @@ mod tests {
         };
         for jobs in [1, 4] {
             let cfg = CheckConfig::jobs(jobs).with_faults(faults.clone());
-            let faulted = check_consistency_with_config(&spec, &probe, &cfg);
+            let faulted = check(&spec, &probe, &cfg);
             assert!(!faulted.failures().is_empty());
             assert_eq!(faulted.verdict(), clean.verdict());
 

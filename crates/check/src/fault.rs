@@ -10,10 +10,24 @@
 //! same indices, so a fault-injection harness can predict exactly which
 //! work items were sabotaged and compare everything else against a
 //! fault-free run.
+//!
+//! [`fault_isolation_check`] is that harness. The claim under test: a
+//! sabotaged work item — a panicking worker, an exhausted budget, an
+//! artificially slow chunk — must not perturb the verdict of any *other*
+//! item. The harness runs both checkers twice over the same
+//! specification, once clean and once under a [`FaultSpec`], each run in
+//! a fresh [`Session`], re-arms the plan to learn exactly which indices
+//! were sabotaged, and compares the per-item verdict strings of every
+//! non-faulted index. Any difference is an isolation failure in the
+//! engine itself.
 
 use std::collections::BTreeSet;
 
-use adt_core::DetRng;
+use adt_core::{DetRng, Session, Spec};
+
+use crate::completeness::{check_completeness_session, OpCoverage};
+use crate::config::CheckConfig;
+use crate::consistency::{check_consistency_session, ProbeConfig};
 
 /// A reproducible fault plan: how many items to sabotage per phase, and
 /// how.
@@ -60,6 +74,72 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 impl FaultSpec {
+    /// Parses a fault plan of the form
+    /// `"seed=7,panic=1,exhaust=1,slow=2,slow-ms=5"`.
+    ///
+    /// Every key is optional but may appear at most once (aliases such as
+    /// `panic`/`panics` count as the same key); repeated, unknown, and
+    /// malformed entries are errors. An empty string parses to the inert
+    /// default plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message on unknown keys, repeated keys,
+    /// entries that are not `key=value`, or unparsable numbers.
+    pub fn parse(text: &str) -> Result<FaultSpec, String> {
+        let mut plan = FaultSpec::default();
+        let mut seen: Vec<&'static str> = Vec::new();
+        let mut claim = |canonical: &'static str, spelled: &str| -> Result<(), String> {
+            if seen.contains(&canonical) {
+                return Err(format!(
+                    "fault plan key `{spelled}` given more than once (`{canonical}` was already set)"
+                ));
+            }
+            seen.push(canonical);
+            Ok(())
+        };
+        for part in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let (key, value) = part
+                .split_once('=')
+                .ok_or_else(|| format!("fault plan entry `{part}` is not of the form key=value"))?;
+            let parse = |v: &str| -> Result<u64, String> {
+                v.trim()
+                    .parse::<u64>()
+                    .map_err(|_| format!("fault plan value `{v}` for `{key}` is not a number"))
+            };
+            let n = parse(value)?;
+            let key = key.trim();
+            match key {
+                "seed" => {
+                    claim("seed", key)?;
+                    plan.seed = n;
+                }
+                "panic" | "panics" => {
+                    claim("panic", key)?;
+                    plan.panics = n as usize;
+                }
+                "exhaust" | "exhausts" => {
+                    claim("exhaust", key)?;
+                    plan.exhausts = n as usize;
+                }
+                "slow" | "slows" => {
+                    claim("slow", key)?;
+                    plan.slows = n as usize;
+                }
+                "slow-ms" => {
+                    claim("slow-ms", key)?;
+                    plan.slow_ms = n;
+                }
+                other => {
+                    return Err(format!(
+                        "unknown fault plan key `{other}` (expected seed, panic, exhaust, slow, slow-ms)"
+                    ))
+                }
+            }
+        }
+        Ok(plan)
+    }
+
     /// Whether any fault is configured at all.
     pub fn is_active(&self) -> bool {
         self.panics + self.exhausts + self.slows > 0
@@ -166,9 +246,207 @@ impl ArmedFaults {
     }
 }
 
+/// A non-faulted item whose verdict changed between the clean and the
+/// faulted run — an isolation failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IsolationMismatch {
+    /// The item's index within its phase.
+    pub index: usize,
+    /// The clean run's verdict string.
+    pub clean: String,
+    /// The faulted run's verdict string.
+    pub faulted: String,
+}
+
+/// Isolation comparison for one checker phase.
+#[derive(Debug, Clone)]
+pub struct PhaseIsolation {
+    /// The phase (`"completeness"`, `"pairs"`, `"probes"`).
+    pub phase: &'static str,
+    /// Work items in the phase.
+    pub items: usize,
+    /// Indices the plan sabotaged (ascending).
+    pub faulted: Vec<usize>,
+    /// Non-faulted items whose verdicts differ between the runs.
+    pub mismatches: Vec<IsolationMismatch>,
+    /// Whether the two runs even reported the same number of items (they
+    /// must: a lost item is the worst isolation failure of all).
+    pub item_counts_agree: bool,
+}
+
+impl PhaseIsolation {
+    /// Whether every non-faulted item in this phase was untouched.
+    pub fn isolated(&self) -> bool {
+        self.item_counts_agree && self.mismatches.is_empty()
+    }
+}
+
+/// Outcome of a [`fault_isolation_check`] run.
+#[derive(Debug, Clone)]
+pub struct FaultIsolationReport {
+    /// The plan that was injected.
+    pub plan: FaultSpec,
+    /// Worker count of both runs.
+    pub jobs: usize,
+    /// Per-phase comparisons.
+    pub phases: Vec<PhaseIsolation>,
+}
+
+impl FaultIsolationReport {
+    /// Whether every non-faulted item in every phase produced a verdict
+    /// byte-identical to the fault-free run.
+    pub fn isolated(&self) -> bool {
+        self.phases.iter().all(PhaseIsolation::isolated)
+    }
+
+    /// Total number of sabotaged items across all phases.
+    pub fn faults_injected(&self) -> usize {
+        self.phases.iter().map(|p| p.faulted.len()).sum()
+    }
+
+    /// A printable account of the run.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for p in &self.phases {
+            let faulted = if p.faulted.is_empty() {
+                "none faulted".to_owned()
+            } else {
+                format!(
+                    "faulted item(s) [{}]",
+                    p.faulted
+                        .iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                )
+            };
+            out.push_str(&format!(
+                "phase {}: {} item(s), {}, {} isolation mismatch(es)\n",
+                p.phase,
+                p.items,
+                faulted,
+                p.mismatches.len()
+            ));
+            if !p.item_counts_agree {
+                out.push_str("  item counts differ between clean and faulted runs\n");
+            }
+            for m in &p.mismatches {
+                out.push_str(&format!(
+                    "  item #{}: clean `{}` vs faulted `{}`\n",
+                    m.index, m.clean, m.faulted
+                ));
+            }
+        }
+        out.push_str(&format!(
+            "non-faulted verdicts identical: {}\n",
+            if self.isolated() { "yes" } else { "NO" }
+        ));
+        out
+    }
+}
+
+/// Renders one operation's coverage verdict as a deterministic string
+/// (the completeness analogue of the consistency per-item verdicts).
+fn coverage_item(oc: &OpCoverage) -> String {
+    format!("{}: {:?}", oc.op_name(), oc.coverage())
+}
+
+fn compare_phase(
+    phase: &'static str,
+    plan: &FaultSpec,
+    clean: &[String],
+    faulted: &[String],
+) -> PhaseIsolation {
+    let armed = plan.arm(phase, clean.len());
+    let sabotaged: Vec<usize> = (0..clean.len()).filter(|&i| armed.is_faulted(i)).collect();
+    let mut mismatches = Vec::new();
+    for (index, (c, f)) in clean.iter().zip(faulted).enumerate() {
+        if !armed.is_faulted(index) && c != f {
+            mismatches.push(IsolationMismatch {
+                index,
+                clean: c.clone(),
+                faulted: f.clone(),
+            });
+        }
+    }
+    PhaseIsolation {
+        phase,
+        items: clean.len(),
+        faulted: sabotaged,
+        mismatches,
+        item_counts_agree: clean.len() == faulted.len(),
+    }
+}
+
+/// Runs both checkers twice — clean, then under `plan` — and verifies
+/// that every non-faulted work item's verdict is byte-identical across
+/// the two runs. `config.faults` is ignored (the harness supplies its
+/// own plans); `config.jobs` and `config.fuel` apply to both runs.
+///
+/// Each run gets a fresh [`Session`], so the clean run's memo cannot warm
+/// the faulted one. Within a run the memo is shared, and a panicking or
+/// exhaust-faulted item publishes no facts to it, so one caveat remains: a non-faulted item
+/// whose exhaustion is fuel-marginal could still verdict differently
+/// between the runs because a fact it would have read is missing. At the
+/// default fuel no shipped specification has such an item.
+pub fn fault_isolation_check(
+    spec: &Spec,
+    probe: &ProbeConfig,
+    plan: &FaultSpec,
+    config: &CheckConfig,
+) -> FaultIsolationReport {
+    let clean_cfg = CheckConfig {
+        faults: None,
+        ..config.clone()
+    };
+    let fault_cfg = CheckConfig {
+        faults: Some(plan.clone()),
+        ..config.clone()
+    };
+
+    // One fresh session per run: a memo warmed by the clean run must not
+    // reach the faulted one, or a fuel-marginal item could verdict
+    // differently for reasons that have nothing to do with the faults.
+    let run = |cfg: &CheckConfig| {
+        let session = Session::new(spec.clone());
+        (
+            check_completeness_session(&session, cfg),
+            check_consistency_session(&session, probe, cfg),
+        )
+    };
+    let (comp_clean, cons_clean) = run(&clean_cfg);
+    let (comp_fault, cons_fault) = run(&fault_cfg);
+
+    let comp_items: Vec<String> = comp_clean.coverage().iter().map(coverage_item).collect();
+    let comp_items_f: Vec<String> = comp_fault.coverage().iter().map(coverage_item).collect();
+
+    let phases = vec![
+        compare_phase("completeness", plan, &comp_items, &comp_items_f),
+        compare_phase(
+            "pairs",
+            plan,
+            cons_clean.pair_verdicts(),
+            cons_fault.pair_verdicts(),
+        ),
+        compare_phase(
+            "probes",
+            plan,
+            cons_clean.probe_verdicts(),
+            cons_fault.probe_verdicts(),
+        ),
+    ];
+
+    FaultIsolationReport {
+        plan: plan.clone(),
+        jobs: config.jobs,
+        phases,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adt_core::{SpecBuilder, Term};
 
     #[test]
     fn arming_is_deterministic_and_phase_dependent() {
@@ -228,5 +506,96 @@ mod tests {
             none.on_item(idx);
             assert!(!none.is_faulted(idx));
         }
+    }
+
+    fn queue_like_spec() -> Spec {
+        // Enough derived ops and axioms to give every phase real items.
+        let mut b = SpecBuilder::new("Nat");
+        let s = b.sort("Nat");
+        let zero = b.ctor("ZERO", [], s);
+        let succ = b.ctor("SUCC", [s], s);
+        let pred = b.op("PRED", [s], s);
+        let is_zero = b.op("IS_ZERO?", [s], b.bool_sort());
+        let n = Term::Var(b.var("n", s));
+        let tt = b.tt();
+        let ff = b.ff();
+        b.axiom("p1", b.app(pred, [b.app(zero, [])]), Term::Error(s));
+        b.axiom("p2", b.app(pred, [b.app(succ, [n.clone()])]), n.clone());
+        b.axiom("z1", b.app(is_zero, [b.app(zero, [])]), tt);
+        b.axiom("z2", b.app(is_zero, [b.app(succ, [n])]), ff);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn plan_parser_round_trips() {
+        let plan = FaultSpec::parse("seed=7,panic=1,exhaust=2,slow=3,slow-ms=5").unwrap();
+        assert_eq!(plan.seed, 7);
+        assert_eq!(plan.panics, 1);
+        assert_eq!(plan.exhausts, 2);
+        assert_eq!(plan.slows, 3);
+        assert_eq!(plan.slow_ms, 5);
+        assert_eq!(FaultSpec::parse("").unwrap(), FaultSpec::default());
+        assert!(FaultSpec::parse("panic=x").is_err());
+        assert!(FaultSpec::parse("frobnicate=1").is_err());
+        assert!(FaultSpec::parse("panic").is_err());
+    }
+
+    #[test]
+    fn plan_parser_rejects_duplicate_keys() {
+        // A literal repeat: the second assignment must not silently win.
+        let err = FaultSpec::parse("seed=1,seed=2").unwrap_err();
+        assert!(err.contains("`seed`"), "unhelpful error: {err}");
+        assert!(err.contains("more than once"), "unhelpful error: {err}");
+
+        // An alias pair names the same knob, so it is the same conflict
+        // even though the spellings differ.
+        let err = FaultSpec::parse("panic=1,panics=2").unwrap_err();
+        assert!(err.contains("`panics`"), "unhelpful error: {err}");
+        assert!(err.contains("`panic`"), "unhelpful error: {err}");
+
+        for dup in [
+            "exhaust=1,exhausts=1",
+            "slows=1,slow=1",
+            "slow-ms=1,slow-ms=2",
+            "seed=7,panic=1,exhaust=1,panic=1",
+        ] {
+            assert!(FaultSpec::parse(dup).is_err(), "accepted `{dup}`");
+        }
+
+        // Distinct keys remain fine in any order.
+        let plan = FaultSpec::parse("slows=2,panics=1,seed=9").unwrap();
+        assert_eq!((plan.seed, plan.panics, plan.slows), (9, 1, 2));
+    }
+
+    #[test]
+    fn injected_faults_are_isolated_at_any_job_count() {
+        let spec = queue_like_spec();
+        let plan = FaultSpec::parse("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").unwrap();
+        for jobs in [1, 4] {
+            let report = fault_isolation_check(
+                &spec,
+                &ProbeConfig::default(),
+                &plan,
+                &CheckConfig::jobs(jobs),
+            );
+            assert!(report.isolated(), "jobs {jobs}:\n{}", report.render());
+            assert!(report.faults_injected() > 0);
+            assert!(report
+                .render()
+                .contains("non-faulted verdicts identical: yes"));
+        }
+    }
+
+    #[test]
+    fn inert_plan_reports_no_faults() {
+        let spec = queue_like_spec();
+        let report = fault_isolation_check(
+            &spec,
+            &ProbeConfig::default(),
+            &FaultSpec::default(),
+            &CheckConfig::jobs(2),
+        );
+        assert!(report.isolated());
+        assert_eq!(report.faults_injected(), 0);
     }
 }

@@ -10,22 +10,30 @@
 //!
 //! This crate is that system:
 //!
-//! * [`check_completeness`] analyses the constructor-case coverage of every
-//!   derived operation and synthesizes a *witness term* for every missing
-//!   case — the prompt the paper describes (drop Queue's axiom 4 and the
-//!   checker answers `FRONT(ADD(x1, x2)) = ?`).
-//! * [`check_consistency`] looks for contradictory axioms two ways: by
-//!   critical-pair analysis (two axioms rewriting one term to different
-//!   normal forms) and by randomized ground probing (one-step divergence on
-//!   sampled ground terms).
+//! * [`check_completeness_session`] analyses the constructor-case coverage
+//!   of every derived operation and synthesizes a *witness term* for every
+//!   missing case — the prompt the paper describes (drop Queue's axiom 4
+//!   and the checker answers `FRONT(ADD(x1, x2)) = ?`).
+//! * [`check_consistency_session`] looks for contradictory axioms two
+//!   ways: by critical-pair analysis (two axioms rewriting one term to
+//!   different normal forms) and by randomized ground probing (one-step
+//!   divergence on sampled ground terms).
+//! * [`fault_isolation_check`] injects worker panics, fuel
+//!   exhaustion and slow chunks into both checks and verifies that every
+//!   *non-faulted* work item's verdict is byte-identical to a fault-free
+//!   run.
 //! * [`infer_constructors`] recovers the constructor/derived-operation
 //!   split when a front end did not mark it explicitly.
+//!
+//! Both checks run against a [`adt_core::Session`] under a [`CheckConfig`]
+//! (worker count, fuel, retry ladder, supervisor, fault plan); that pair
+//! is the one entry point each check has.
 //!
 //! # Example
 //!
 //! ```
-//! use adt_core::{SpecBuilder, Term};
-//! use adt_check::{check_completeness, Coverage};
+//! use adt_core::{Session, SpecBuilder, Term};
+//! use adt_check::{check_completeness_session, CheckConfig, Coverage};
 //!
 //! // A deliberately incomplete spec: IS_ZERO? is unspecified on SUCC.
 //! let mut b = SpecBuilder::new("Nat");
@@ -37,7 +45,7 @@
 //! b.axiom("z1", b.app(is_zero, [b.app(zero, [])]), tt);
 //! let spec = b.build()?;
 //!
-//! let report = adt_check::check_completeness(&spec);
+//! let report = check_completeness_session(&Session::new(spec), &CheckConfig::default());
 //! assert!(!report.is_sufficiently_complete());
 //! let missing = &report.coverage()[0];
 //! assert_eq!(missing.op_name(), "IS_ZERO?");
@@ -58,18 +66,19 @@ mod lint;
 pub mod parallel;
 
 pub use classify::{classification_warnings, infer_constructors};
-pub use config::{CheckConfig, RetryFuel};
-pub use fault::{ArmedFaults, FaultSpec};
 pub use completeness::{
-    check_completeness, check_completeness_jobs, check_completeness_session,
-    check_completeness_with_config, CompletenessReport, Coverage, OpCoverage, PatternNote,
+    check_completeness_session, CompletenessReport, Coverage, OpCoverage, PatternNote,
 };
+pub use config::{CheckConfig, RetryFuel};
 pub use consistency::{
-    check_consistency, check_consistency_jobs, check_consistency_session, check_consistency_with,
-    check_consistency_with_config, probe_terms, ConsistencyReport, ConsistencyVerdict,
-    Contradiction, ExhaustedProbe, ProbeConfig,
+    check_consistency_session, probe_terms, ConsistencyReport, ConsistencyVerdict, Contradiction,
+    ExhaustedProbe, ProbeConfig,
 };
-pub use parallel::{CheckFailure, CheckStats, ItemOutcome};
+pub use fault::{
+    fault_isolation_check, ArmedFaults, FaultIsolationReport, FaultSpec, IsolationMismatch,
+    PhaseIsolation,
+};
 pub use lint::{
     overlap_warnings, overlapping_axioms, recursion_warnings, OverlapPair, RecursionWarning,
 };
+pub use parallel::{CheckFailure, CheckStats, ItemOutcome};

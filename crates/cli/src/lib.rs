@@ -29,13 +29,12 @@ use std::time::Duration;
 
 use adt_check::{
     check_completeness_session, check_consistency_session, classification_warnings,
-    overlap_warnings, recursion_warnings, CheckConfig, CheckStats, ConsistencyVerdict, FaultSpec,
-    ProbeConfig, RetryFuel,
+    fault_isolation_check, overlap_warnings, recursion_warnings, CheckConfig, CheckStats,
+    ConsistencyVerdict, FaultSpec, ProbeConfig, RetryFuel,
 };
 use adt_core::{display, Deadline, Fuel, Session, Spec, Supervisor};
 use adt_dsl::{parse_session, parse_term_id, print_spec};
 use adt_rewrite::{Proof, Rewriter};
-use adt_verify::{fault_isolation_check, parse_fault_plan};
 
 use checkpoint::{fnv1a_hex, Checkpoint, Phase, VerdictGroup};
 
@@ -179,8 +178,7 @@ fn parse_check_flags(args: &[String]) -> Result<(CheckOpts, Vec<String>), String
                 let Some(plan) = it.next() else {
                     return Err("--faults needs a plan, e.g. \"seed=7,panic=1\"\n".to_owned());
                 };
-                opts.faults =
-                    Some(parse_fault_plan(plan).map_err(|e| format!("--faults: {e}\n"))?);
+                opts.faults = Some(FaultSpec::parse(plan).map_err(|e| format!("--faults: {e}\n"))?);
             }
             _ => positional.push(arg.clone()),
         }
@@ -278,9 +276,8 @@ fn cmd_check(session: &Session, opts: &CheckOpts) -> Outcome {
                 "--checkpoint cannot be combined with --faults\n{USAGE}"
             ));
         }
-        // The fault harness injects tiny fuel budgets on purpose; a warm
-        // memo would rescue exhaust-faulted items, so it runs spec-based
-        // with fresh rewriters rather than against the session.
+        // The harness runs the clean and the faulted check each in a
+        // fresh session of its own, so neither inherits this one's memo.
         return cmd_check_faults(spec, plan, &config);
     }
 

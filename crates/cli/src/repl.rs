@@ -249,8 +249,7 @@ fn dispatch(
                 };
                 let lhs = parse_in_env(spec, env, lhs_src.trim())?;
                 let rhs = parse_in_env(spec, env, rhs_src.trim())?;
-                let (lhs_id, rhs_id) = (session.intern(&lhs), session.intern(&rhs));
-                match adt_verify::prove_by_induction_session(session, lhs_id, rhs_id, var, 8) {
+                match adt_verify::prove_by_induction(spec, &lhs, &rhs, var, 8) {
                     Ok(adt_verify::InductionOutcome::Proved { cases }) => {
                         let names: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
                         let _ =
@@ -404,10 +403,13 @@ end
     }
 
     fn drive(script: &str) -> String {
-        let spec = queue_spec();
+        drive_on(&queue_spec(), script)
+    }
+
+    fn drive_on(spec: &Spec, script: &str) -> String {
         let mut input = Cursor::new(script.to_owned());
         let mut output = Vec::new();
-        run_repl(&spec, &mut input, &mut output).unwrap();
+        run_repl(spec, &mut input, &mut output).unwrap();
         String::from_utf8(output).unwrap()
     }
 
@@ -475,6 +477,28 @@ end
             out.contains("proved by induction (cases: NEW, ADD)"),
             "{out}"
         );
+    }
+
+    #[test]
+    fn induct_over_a_sort_without_constructors_is_an_error() {
+        let spec = adt_dsl::parse(
+            r#"
+type Box
+param Elem
+ops
+  MK: Elem -> Box ctor
+  GET: Box -> Elem
+vars
+  e: Elem
+axioms
+  [1] GET(MK(e)) = e
+end
+"#,
+        )
+        .unwrap();
+        let out = drive_on(&spec, ":induct e GET(MK(e)) = e\n:quit\n");
+        assert!(out.contains("no constructors"), "{out}");
+        assert!(!out.contains("panicked"), "{out}");
     }
 
     #[test]

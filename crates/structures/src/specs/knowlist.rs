@@ -168,31 +168,42 @@ pub fn symboltable_kl_spec() -> Spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_check::{check_completeness, check_consistency};
+    use adt_check::{
+        check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig,
+    };
+    use adt_core::Session;
     use adt_rewrite::Rewriter;
 
     #[test]
     fn knowlist_spec_checks() {
         let spec = knowlist_spec();
-        let completeness = check_completeness(&spec);
+        let session = Session::new(spec.clone());
+        let config = CheckConfig::default();
+        let completeness = check_completeness_session(&session, &config);
         assert!(
             completeness.is_sufficiently_complete(),
             "{}",
             completeness.prompts()
         );
-        assert!(check_consistency(&spec).is_consistent());
+        assert!(
+            check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent()
+        );
     }
 
     #[test]
     fn symboltable_kl_spec_checks() {
         let spec = symboltable_kl_spec();
-        let completeness = check_completeness(&spec);
+        let session = Session::new(spec.clone());
+        let config = CheckConfig::default();
+        let completeness = check_completeness_session(&session, &config);
         assert!(
             completeness.is_sufficiently_complete(),
             "{}",
             completeness.prompts()
         );
-        assert!(check_consistency(&spec).is_consistent());
+        assert!(
+            check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent()
+        );
     }
 
     fn apply(spec: &Spec, op: &str, args: Vec<Term>) -> Term {

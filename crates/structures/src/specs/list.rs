@@ -108,7 +108,10 @@ pub fn list_spec() -> Spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_check::{check_completeness, check_consistency};
+    use adt_check::{
+        check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig,
+    };
+    use adt_core::Session;
     use adt_rewrite::Rewriter;
 
     fn apply(spec: &Spec, op: &str, args: Vec<Term>) -> Term {
@@ -118,13 +121,17 @@ mod tests {
     #[test]
     fn list_spec_checks() {
         let spec = list_spec();
-        let completeness = check_completeness(&spec);
+        let session = Session::new(spec.clone());
+        let config = CheckConfig::default();
+        let completeness = check_completeness_session(&session, &config);
         assert!(
             completeness.is_sufficiently_complete(),
             "{}",
             completeness.prompts()
         );
-        assert!(check_consistency(&spec).is_consistent());
+        assert!(
+            check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent()
+        );
     }
 
     #[test]

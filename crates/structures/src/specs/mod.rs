@@ -101,9 +101,12 @@ mod tests {
         install_identifiers(&mut b);
         install_attribute_lists(&mut b);
         let spec = b.build().unwrap();
-        let report = adt_check::check_completeness(&spec);
+        let session = adt_core::Session::new(spec);
+        let config = adt_check::CheckConfig::default();
+        let report = adt_check::check_completeness_session(&session, &config);
         assert!(report.is_sufficiently_complete(), "{}", report.prompts());
-        let consistency = adt_check::check_consistency(&spec);
+        let probe = adt_check::ProbeConfig::default();
+        let consistency = adt_check::check_consistency_session(&session, &probe, &config);
         assert!(consistency.is_consistent(), "{}", consistency.summary());
     }
 }

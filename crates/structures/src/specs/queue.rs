@@ -76,26 +76,32 @@ fn build(include_axiom_4: bool) -> Spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_check::{check_completeness, check_consistency, Coverage};
+    use adt_check::{
+        check_completeness_session, check_consistency_session, CheckConfig, Coverage, ProbeConfig,
+    };
+    use adt_core::Session;
     use adt_rewrite::Rewriter;
 
     #[test]
     fn queue_spec_is_sufficiently_complete_and_consistent() {
         let spec = queue_spec();
-        let completeness = check_completeness(&spec);
+        let session = Session::new(spec.clone());
+        let config = CheckConfig::default();
+        let completeness = check_completeness_session(&session, &config);
         assert!(
             completeness.is_sufficiently_complete(),
             "{}",
             completeness.prompts()
         );
-        let consistency = check_consistency(&spec);
+        let consistency = check_consistency_session(&session, &ProbeConfig::default(), &config);
         assert!(consistency.is_consistent(), "{}", consistency.summary());
     }
 
     #[test]
     fn incomplete_variant_is_flagged_on_front_add() {
         let spec = queue_spec_incomplete();
-        let report = check_completeness(&spec);
+        let report =
+            check_completeness_session(&Session::new(spec.clone()), &CheckConfig::default());
         assert!(!report.is_sufficiently_complete());
         let front = spec.sig().find_op("FRONT").unwrap();
         let cov = report.for_op(front).unwrap();

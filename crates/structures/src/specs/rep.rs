@@ -359,8 +359,13 @@ mod tests {
 
     #[test]
     fn rep_spec_is_consistent() {
-        let spec = symtab_rep_spec();
-        let report = adt_check::check_consistency(&spec);
+        let session = adt_core::Session::new(symtab_rep_spec());
+        let probe = adt_check::ProbeConfig::default();
+        let report = adt_check::check_consistency_session(
+            &session,
+            &probe,
+            &adt_check::CheckConfig::default(),
+        );
         assert!(report.is_consistent(), "{}", report.summary());
     }
 }

@@ -108,19 +108,24 @@ pub fn symboltable_spec() -> Spec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adt_check::{check_completeness, check_consistency};
+    use adt_check::{
+        check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig,
+    };
+    use adt_core::Session;
     use adt_rewrite::Rewriter;
 
     #[test]
     fn symboltable_spec_checks() {
         let spec = symboltable_spec();
-        let completeness = check_completeness(&spec);
+        let session = Session::new(spec.clone());
+        let config = CheckConfig::default();
+        let completeness = check_completeness_session(&session, &config);
         assert!(
             completeness.is_sufficiently_complete(),
             "{}",
             completeness.prompts()
         );
-        let consistency = check_consistency(&spec);
+        let consistency = check_consistency_session(&session, &ProbeConfig::default(), &config);
         assert!(consistency.is_consistent(), "{}", consistency.summary());
     }
 

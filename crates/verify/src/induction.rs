@@ -7,7 +7,7 @@
 //! at that argument is available as an **induction hypothesis** — an extra
 //! rewrite rule. Each case is then closed by the normalization prover.
 
-use adt_core::{OpId, Session, SortId, Spec, Subst, Term, TermId, VarId};
+use adt_core::{OpId, SortId, Spec, Subst, Term, VarId};
 use adt_rewrite::{Proof, Rewriter, Rule, RuleSet};
 
 /// The outcome of an induction proof attempt.
@@ -47,7 +47,8 @@ impl InductionOutcome {
 /// # Errors
 ///
 /// Returns a rewriting error (fuel exhaustion) if some case fails to
-/// normalize.
+/// normalize, and [`adt_rewrite::RewriteError::Session`] if `ind_var`'s
+/// sort has no constructors to case-split on.
 pub fn prove_by_induction(
     spec: &Spec,
     lhs: &Term,
@@ -57,11 +58,14 @@ pub fn prove_by_induction(
 ) -> Result<InductionOutcome, adt_rewrite::RewriteError> {
     let sort = spec.sig().var(ind_var).sort();
     let ctors: Vec<OpId> = spec.sig().constructors_of(sort).collect();
-    assert!(
-        !ctors.is_empty(),
-        "cannot induct over sort `{}`: it has no constructors",
-        spec.sig().sort(sort).name()
-    );
+    if ctors.is_empty() {
+        return Err(adt_rewrite::RewriteError::Session {
+            detail: format!(
+                "cannot induct over sort `{}`: it has no constructors",
+                spec.sig().sort(sort).name()
+            ),
+        });
+    }
 
     let mut cases = Vec::new();
     for ctor in ctors {
@@ -128,34 +132,6 @@ pub fn prove_by_induction(
         }
     }
     Ok(InductionOutcome::Proved { cases })
-}
-
-/// [`prove_by_induction`] over goals interned in a shared [`Session`].
-///
-/// The goal sides arrive as ids into the session's arena and are
-/// materialized exactly once at this boundary. Unlike the other verify
-/// passes, the per-case rewriters deliberately do **not** share the
-/// session's memo: every constructor case extends the specification with
-/// induction-hypothesis *rules* (and skolem constructors), and a normal
-/// form memoized under the base rules may reduce further once an
-/// induction hypothesis is available — a shared memo would hand back
-/// stale normal forms. The session contributes the id boundary and the
-/// shared arena here, not the cache.
-///
-/// # Errors
-///
-/// Returns a rewriting error (fuel exhaustion) if some case fails to
-/// normalize.
-pub fn prove_by_induction_session(
-    session: &Session,
-    lhs: TermId,
-    rhs: TermId,
-    ind_var: VarId,
-    max_splits: usize,
-) -> Result<InductionOutcome, adt_rewrite::RewriteError> {
-    let lhs = session.term(lhs);
-    let rhs = session.term(rhs);
-    prove_by_induction(session.spec(), &lhs, &rhs, ind_var, max_splits)
 }
 
 /// Returns a copy of the specification with an extra axiom — typically a
@@ -270,20 +246,18 @@ mod tests {
     }
 
     #[test]
-    fn session_induction_matches_the_tree_prover() {
-        let spec = nat_spec();
-        let n = spec.sig().find_var("n").unwrap();
-        let zero = spec.sig().apply("ZERO", vec![]).unwrap();
-        let lhs = spec.sig().apply("PLUS", vec![Term::Var(n), zero]).unwrap();
-        let rhs = Term::Var(n);
-        let tree = prove_by_induction(&spec, &lhs, &rhs, n, 4).unwrap();
-
-        let session = Session::new(spec.clone());
-        let lhs_id = session.intern(&lhs);
-        let rhs_id = session.intern(&rhs);
-        let via_ids = prove_by_induction_session(&session, lhs_id, rhs_id, n, 4).unwrap();
-        assert_eq!(via_ids, tree);
-        assert!(via_ids.is_proved());
+    fn a_sort_without_constructors_is_an_error_not_a_panic() {
+        let mut b = SpecBuilder::new("Box");
+        let elem = b.param_sort("Elem");
+        let bx = b.sort("Box");
+        let mk = b.ctor("MK", [elem], bx);
+        let get = b.op("GET", [bx], elem);
+        let e = b.var("e", elem);
+        let lhs = b.app(get, [b.app(mk, [Term::Var(e)])]);
+        b.axiom("1", lhs.clone(), Term::Var(e));
+        let spec = b.build().unwrap();
+        let err = prove_by_induction(&spec, &lhs, &Term::Var(e), e, 4).unwrap_err();
+        assert!(err.to_string().contains("no constructors"), "{err}");
     }
 
     #[test]

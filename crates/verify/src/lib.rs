@@ -28,23 +28,17 @@
 //!   must be *invariant under rewriting* (`eval(t) ≡ eval(nf(t))`) — the
 //!   axioms supply both the test cases and the expected results — while
 //!   the parallel and sequential checkers must return identical reports.
-//! * [`fault_isolation_check`] — robustness differential: inject worker
-//!   panics, fuel exhaustion and slow chunks ([`parse_fault_plan`]) into
-//!   the checking engine and verify that every *non-faulted* work item's
-//!   verdict is byte-identical to a fault-free run.
+//!   It runs the checkers and the oracle in one [`adt_core::Session`], the
+//!   path the CLI ships; [`differential_spec_check`] runs the
+//!   checker-vs-checker half against a session the caller holds.
 //! * [`translate_obligations`] / [`verify_obligation`] — the §4 proof
 //!   itself: translate each abstract axiom through the implementation
 //!   (primed operations) and Φ, then prove the two sides equal with case
 //!   analysis, optionally restricted by an assumption such as Assumption 1
 //!   ("an identifier is never added to an empty symbol table").
 //!
-//! Every pass also has a `_session` variant that runs against a shared
-//! [`adt_core::Session`], so normal forms derived by one check warm the
-//! memo for the next ([`check_representation_session`],
-//! [`verify_obligation_session`], [`differential_check_session`]) — or,
-//! where memo sharing would be unsound because the pass extends the rule
-//! set, at least crosses the id boundary without rebuilding terms
-//! ([`prove_by_induction_session`]).
+//! The fault-isolation harness, which injects faults into the checking
+//! engine itself, lives with that engine: `adt_check::fault_isolation_check`.
 //!
 //! See the `representation_proof` and `conditional_correctness`
 //! integration tests for the full Symboltable development.
@@ -55,7 +49,6 @@
 mod axiom_check;
 mod differential;
 mod eval;
-mod fault;
 mod gen;
 mod homomorphism;
 mod induction;
@@ -67,25 +60,16 @@ pub use axiom_check::{
     check_axioms, check_axioms_jobs, AxiomCheckConfig, AxiomCheckReport, CounterExample,
 };
 pub use differential::{
-    differential_check, differential_check_session, differential_spec_check,
-    differential_spec_check_session, DifferentialConfig, DifferentialReport, OracleMismatch,
+    differential_check, differential_spec_check, DifferentialConfig, DifferentialReport,
+    OracleMismatch,
 };
 pub use eval::{eval_ground, eval_with_env};
-pub use fault::{
-    fault_isolation_check, parse_fault_plan, FaultIsolationReport, IsolationMismatch,
-    PhaseIsolation,
-};
 pub use gen::{enumerate_ctor_terms, enumerate_terms, sample_ctor_term, TermPool};
-pub use homomorphism::{
-    check_representation, check_representation_session, RepCheckConfig, RepCheckReport,
-    RepMismatch,
-};
-pub use induction::{
-    instantiate_case, prove_by_induction, prove_by_induction_session, with_lemma, InductionOutcome,
-};
+pub use homomorphism::{check_representation, RepCheckConfig, RepCheckReport, RepMismatch};
+pub use induction::{instantiate_case, prove_by_induction, with_lemma, InductionOutcome};
 pub use model::{Model, ModelBuilder, TableModel};
 pub use rep::{
-    translate_obligations, verify_obligation, verify_obligation_session, Obligation,
-    ObligationKind, ObligationOutcome, OpMap, ProofConfig,
+    translate_obligations, verify_obligation, Obligation, ObligationKind, ObligationOutcome, OpMap,
+    ProofConfig,
 };
 pub use value::MValue;

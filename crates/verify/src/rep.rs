@@ -19,9 +19,8 @@
 //! paper's **conditional correctness**.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use adt_core::{display, NfMemo, OpId, RuleSet, Session, SortId, Spec, Term, VarId};
+use adt_core::{display, OpId, RuleSet, SortId, Spec, Term, VarId};
 use adt_rewrite::{Proof, Rewriter};
 
 use crate::induction::instantiate_case;
@@ -301,9 +300,11 @@ impl ObligationOutcome {
 /// Verifies one obligation over the combined specification.
 ///
 /// The specification's axioms are compiled into one rule set, which
-/// every level of the case analysis borrows: case splits extend the
-/// signature with variables only (see [`verify_obligation_session`]), so
-/// the rules are the same at every depth.
+/// every level of the case analysis borrows: [`instantiate_case`] extends
+/// the signature with fresh *variables* only, so the operation and sort
+/// indices and the axiom set — and with them the rules — are the same at
+/// every depth. (Contrast [`crate::induction::prove_by_induction`], which
+/// adds induction-hypothesis *rules* per case.)
 ///
 /// # Errors
 ///
@@ -314,58 +315,16 @@ pub fn verify_obligation(
     cfg: &ProofConfig,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
     let rules = RuleSet::from_spec(spec);
-    let cx = ProofCx {
-        rules: &rules,
-        memo: None,
-        cfg,
-    };
+    let cx = ProofCx { rules: &rules, cfg };
     let mut trail = Vec::new();
     verify_rec(&cx, spec, &ob.lhs, &ob.rhs, cfg.case_depth, 1, &mut trail)
 }
 
-/// [`verify_obligation`] with every rewriter in the case analysis
-/// borrowing a shared [`Session`]'s rules and warmed by its memo.
-///
-/// The session must hold the *combined* specification the obligations
-/// were translated into — build it with `Session::new(ext)` from the
-/// extension [`translate_obligations`] returns. Sharing the rules and the
-/// memo down the recursion is sound because [`instantiate_case`] extends
-/// the signature with fresh *variables* only: the operation and sort
-/// indices (from which the ground terms behind the memo's ids are built)
-/// and the axiom set are unchanged at every depth, so every rewriter in
-/// the proof computes the same rewrite relation over the same terms.
-/// Contrast [`crate::induction::prove_by_induction`], which adds
-/// induction-hypothesis *rules* per case and therefore must not share a
-/// memo.
-///
-/// # Errors
-///
-/// Returns a rewriting error (fuel exhaustion) if normalization fails.
-pub fn verify_obligation_session(
-    session: &Session,
-    ob: &Obligation,
-    cfg: &ProofConfig,
-) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
-    let cx = ProofCx {
-        rules: session.rules(),
-        memo: Some(session.memo()),
-        cfg,
-    };
-    let spec = session.spec();
-    let mut trail = Vec::new();
-    verify_rec(&cx, spec, &ob.lhs, &ob.rhs, cfg.case_depth, 1, &mut trail)
-}
-
-/// What every level of one obligation's case analysis shares.
-///
-/// [`instantiate_case`] extends the signature with variables only, so the
-/// rules compiled from the obligation's specification are the rules of
-/// every case split below it: each level borrows them rather than
-/// re-deriving them from its extended specification.
+/// What every level of one obligation's case analysis shares: the rules
+/// compiled from the obligation's specification (see
+/// [`verify_obligation`]) and the proof configuration.
 struct ProofCx<'p> {
     rules: &'p RuleSet,
-    /// The session memo, when proving through a [`Session`].
-    memo: Option<&'p Arc<NfMemo>>,
     cfg: &'p ProofConfig,
 }
 
@@ -378,10 +337,7 @@ fn verify_rec(
     round: usize,
     trail: &mut Vec<String>,
 ) -> Result<ObligationOutcome, adt_rewrite::RewriteError> {
-    let mut rw = Rewriter::with_borrowed_rules(spec, cx.rules).with_fuel(cx.cfg.fuel);
-    if let Some(memo) = cx.memo {
-        rw = rw.with_memo(Arc::clone(memo));
-    }
+    let rw = Rewriter::with_borrowed_rules(spec, cx.rules).with_fuel(cx.cfg.fuel);
     match rw.prove_equal(lhs, rhs, cx.cfg.max_splits)? {
         Proof::Proved { cases } => Ok(ObligationOutcome::Proved { cases }),
         Proof::Undecided {
@@ -433,8 +389,8 @@ fn split_var(
                 subst.get(var).expect("case substitution binds var")
             )
         ));
-        // The extension added variables only (see `ProofCx`), so the
-        // shared rules and the session memo stay valid.
+        // The extension added variables only, so the shared rules stay
+        // valid (see `verify_obligation`).
         let outcome = verify_rec(cx, &ext, &case_lhs, &case_rhs, depth - 1, round + 1, trail)?;
         match outcome {
             ObligationOutcome::Proved { cases } => total += cases,
@@ -573,25 +529,6 @@ mod tests {
             let outcome = verify_obligation(&ext, ob, &cfg).unwrap();
             assert!(outcome.is_proved(), "axiom {}: {outcome:?}", ob.label);
         }
-    }
-
-    #[test]
-    fn session_proof_agrees_with_fresh_and_shares_the_memo() {
-        let abs = abstract_counter();
-        let conc = concrete_stack(true);
-        let (ext, obs) = translate_obligations(&abs, &conc, &op_map(), Some("PHI")).unwrap();
-        let cfg = ProofConfig::default();
-        let session = Session::new(ext.clone());
-        for ob in &obs {
-            let fresh = verify_obligation(&ext, ob, &cfg).unwrap();
-            let shared = verify_obligation_session(&session, ob, &cfg).unwrap();
-            assert_eq!(shared, fresh, "axiom {}", ob.label);
-            assert!(shared.is_proved(), "axiom {}: {shared:?}", ob.label);
-        }
-        // Ground facts (e.g. IS_START?'(START') → TRUE) accumulated in
-        // the shared memo across obligations.
-        let stats = session.stats();
-        assert!(stats.memo_entries > 0, "{stats:?}");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! Run with `cargo run --example database_case_study`.
 
-use adt_check::{check_completeness, check_consistency};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::Session;
 use adt_rewrite::SymbolicSession;
 use adt_verify::{check_axioms, AxiomCheckConfig, MValue, ModelBuilder};
 
@@ -50,8 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = adt_dsl::parse(source).map_err(|e| e.render(source))?;
 
     // 1. The contract checks out mechanically.
-    assert!(check_completeness(&spec).is_sufficiently_complete());
-    assert!(check_consistency(&spec).is_consistent());
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    assert!(check_completeness_session(&session, &config).is_sufficiently_complete());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
     println!("database contract: sufficiently complete and consistent ✓");
 
     // 2. Run a transaction against the axioms alone.

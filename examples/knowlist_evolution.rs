@@ -9,7 +9,8 @@
 //!
 //! Run with `cargo run --example knowlist_evolution`.
 
-use adt_check::{check_completeness, check_consistency};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::Session;
 use adt_structures::specs::{axiom_diff, symboltable_kl_spec, symboltable_spec};
 use adt_structures::{AttrList, Ident, KnowList, SymbolTable, SymbolTableKl};
 
@@ -37,8 +38,10 @@ fn main() {
     assert_eq!(diff.changed_labels(), vec!["2", "5", "8"]);
 
     // 2. The evolved specification still checks out.
-    assert!(check_completeness(&after).is_sufficiently_complete());
-    assert!(check_consistency(&after).is_consistent());
+    let session = Session::new(after.clone());
+    let config = CheckConfig::default();
+    assert!(check_completeness_session(&session, &config).is_sufficiently_complete());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
     println!("evolved specification is sufficiently complete and consistent ✓\n");
 
     // 3. Behavioural comparison on the same program:

@@ -4,7 +4,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use adt_check::{check_completeness, check_consistency};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::Session;
 use adt_rewrite::{Rewriter, SymbolicSession};
 use adt_structures::models::fifo_model;
 use adt_verify::{check_axioms, AxiomCheckConfig};
@@ -46,12 +47,16 @@ end
     );
 
     // 2. Mechanical checking (§3 of the paper).
-    let completeness = check_completeness(&spec);
+    // Every check runs in a session: the specification with its compiled
+    // rules and a memo of normal forms that later checks reuse.
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     println!(
         "sufficiently complete: {}",
         completeness.is_sufficiently_complete()
     );
-    let consistency = check_consistency(&spec);
+    let consistency = check_consistency_session(&session, &ProbeConfig::default(), &config);
     println!(
         "consistent: {} ({} critical pairs, {} ground probes)",
         consistency.is_consistent(),

@@ -5,7 +5,11 @@
 //!
 //! Run with `cargo run --example spec_doctor`.
 
-use adt_check::{check_completeness, check_consistency, classification_warnings, overlap_warnings};
+use adt_check::{
+    check_completeness_session, check_consistency_session, classification_warnings,
+    overlap_warnings, CheckConfig, ProbeConfig,
+};
+use adt_core::Session;
 use adt_structures::sources;
 
 fn main() {
@@ -26,7 +30,9 @@ fn main() {
             spec.axioms().len()
         );
 
-        let completeness = check_completeness(&spec);
+        let session = Session::new(spec.clone());
+        let config = CheckConfig::default();
+        let completeness = check_completeness_session(&session, &config);
         if completeness.is_sufficiently_complete() {
             println!("  sufficiently complete ✓");
         } else {
@@ -37,7 +43,7 @@ fn main() {
             }
         }
 
-        let consistency = check_consistency(&spec);
+        let consistency = check_consistency_session(&session, &ProbeConfig::default(), &config);
         for line in consistency.summary().lines() {
             println!("  {line}");
         }

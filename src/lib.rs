@@ -25,14 +25,16 @@
 //! # Example (through the façade)
 //!
 //! ```
-//! use guttag_adt::{check, dsl, rewrite};
+//! use guttag_adt::{check, core::Session, dsl, rewrite};
 //!
 //! let spec = dsl::parse(
 //!     "type N\nops\n Z: -> N ctor\n S: N -> N ctor\n P: N -> N\nvars\n n: N\n\
 //!      axioms\n [p1] P(Z) = error\n [p2] P(S(n)) = n\nend",
 //! )
 //! .map_err(|e| e.to_string())?;
-//! assert!(check::check_completeness(&spec).is_sufficiently_complete());
+//! let session = Session::new(spec.clone());
+//! let report = check::check_completeness_session(&session, &check::CheckConfig::default());
+//! assert!(report.is_sufficiently_complete());
 //! let rw = rewrite::Rewriter::new(&spec);
 //! let two = spec.sig().apply("S", vec![spec.sig().apply("Z", vec![])?])?;
 //! let one = rw.normalize(&spec.sig().apply("P", vec![two])?)?;

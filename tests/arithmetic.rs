@@ -3,7 +3,8 @@
 //! the rewrite engine on genuinely recursive arithmetic (repeated
 //! subtraction, nested recursion in TIMES), and more induction fodder.
 
-use adt_core::{Spec, Term};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::{Session, Spec, Term};
 use adt_rewrite::Rewriter;
 use adt_structures::sources;
 use adt_verify::{prove_by_induction, InductionOutcome};
@@ -42,9 +43,11 @@ fn un_nat(spec: &Spec, t: &Term) -> Option<u64> {
 #[test]
 fn the_spec_checks_out() {
     let spec = spec();
-    let report = adt_check::check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let report = check_completeness_session(&session, &config);
     assert!(report.is_sufficiently_complete(), "{}", report.prompts());
-    assert!(adt_check::check_consistency(&spec).is_consistent());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
     assert!(adt_check::overlap_warnings(&spec).is_empty());
 }
 

@@ -7,10 +7,22 @@
 //! Spec shapes and seeds are drawn from a seeded [`DetRng`] (48 cases per
 //! property), so every run exercises the same specifications.
 
-use adt_check::{check_completeness, check_consistency, Coverage};
-use adt_core::{DetRng, Spec, SpecBuilder, Term};
+use adt_check::{
+    check_completeness_session, check_consistency_session, CheckConfig, CompletenessReport,
+    ConsistencyReport, Coverage, ProbeConfig,
+};
+use adt_core::{DetRng, Session, Spec, SpecBuilder, Term};
 
 const CASES: usize = 48;
+
+fn completeness(spec: &Spec) -> CompletenessReport {
+    check_completeness_session(&Session::new(spec.clone()), &CheckConfig::default())
+}
+
+fn consistency(spec: &Spec) -> ConsistencyReport {
+    let session = Session::new(spec.clone());
+    check_consistency_session(&session, &ProbeConfig::default(), &CheckConfig::default())
+}
 
 /// Builds a synthetic specification: one sort with `ctors` constructors
 /// (the first nullary, the rest unary-recursive) and `obs` boolean
@@ -74,9 +86,9 @@ fn complete_specs_pass_both_checkers() {
         let obs = 1 + rng.below(4);
         let seed = rng.next_u64();
         let (spec, _) = synthetic(ctors, obs, seed);
-        let report = check_completeness(&spec);
+        let report = completeness(&spec);
         assert!(report.is_sufficiently_complete(), "{}", report.prompts());
-        assert!(check_consistency(&spec).is_consistent());
+        assert!(consistency(&spec).is_consistent());
     }
 }
 
@@ -93,7 +105,7 @@ fn deleting_one_axiom_is_localized() {
         let drop = rng.below(full.axioms().len());
         let (dropped_obs, _) = layout[drop];
         let spec = synthetic_without(ctors, obs, seed, drop);
-        let report = check_completeness(&spec);
+        let report = completeness(&spec);
         assert!(!report.is_sufficiently_complete());
         for cov in report.coverage() {
             let is_dropped = cov.op_name() == format!("OBS{dropped_obs}?");
@@ -143,7 +155,7 @@ fn injected_contradictions_are_caught() {
             full.params().to_vec(),
         )
         .unwrap();
-        let report = check_consistency(&spec);
+        let report = consistency(&spec);
         assert!(!report.is_consistent(), "{}", report.summary());
     }
 }

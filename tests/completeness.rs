@@ -3,13 +3,26 @@
 //! specifications are rejected with the right diagnostics (failure
 //! injection for the checking pipeline).
 
-use adt_check::{check_completeness, check_consistency, Coverage};
+use adt_check::{
+    check_completeness_session, check_consistency_session, CheckConfig, CompletenessReport,
+    ConsistencyReport, Coverage, ProbeConfig,
+};
+use adt_core::{Session, Spec};
 use adt_structures::sources;
+
+fn completeness(spec: &Spec) -> CompletenessReport {
+    check_completeness_session(&Session::new(spec.clone()), &CheckConfig::default())
+}
+
+fn consistency(spec: &Spec) -> ConsistencyReport {
+    let session = Session::new(spec.clone());
+    check_consistency_session(&session, &ProbeConfig::default(), &CheckConfig::default())
+}
 
 #[test]
 fn dropping_axiom_4_is_flagged_with_a_prompt() {
     let spec = sources::load("queue_incomplete").unwrap();
-    let report = check_completeness(&spec);
+    let report = completeness(&spec);
     assert!(!report.is_sufficiently_complete());
     assert_eq!(report.missing_case_count(), 1);
     let front = spec.sig().find_op("FRONT").unwrap();
@@ -31,7 +44,7 @@ fn dropping_axiom_4_is_flagged_with_a_prompt() {
 fn the_incomplete_spec_is_still_consistent() {
     // Incompleteness and inconsistency are independent defects.
     let spec = sources::load("queue_incomplete").unwrap();
-    assert!(check_consistency(&spec).is_consistent());
+    assert!(consistency(&spec).is_consistent());
 }
 
 #[test]
@@ -56,7 +69,7 @@ axioms
 end
 "#;
     let spec = adt_dsl::parse(source).unwrap();
-    let report = check_consistency(&spec);
+    let report = consistency(&spec);
     assert!(
         !report.is_consistent(),
         "LIFO and FIFO readings of FRONT must clash: {}",
@@ -78,7 +91,7 @@ fn ill_sorted_spec_files_are_rejected_with_spans() {
 fn every_shipped_spec_except_the_deliberate_one_is_complete() {
     for (name, _) in sources::all() {
         let spec = sources::load(name).unwrap();
-        let report = check_completeness(&spec);
+        let report = completeness(&spec);
         if name == "queue_incomplete" {
             assert!(!report.is_sufficiently_complete());
         } else {
@@ -113,7 +126,7 @@ fn no_shipped_spec_risks_symbolic_divergence() {
 fn every_shipped_spec_is_consistent() {
     for (name, _) in sources::all() {
         let spec = sources::load(name).unwrap();
-        let report = check_consistency(&spec);
+        let report = consistency(&spec);
         assert!(
             report.is_consistent(),
             "specs/{name}.adt: {}",

@@ -19,13 +19,22 @@ use std::fs;
 use std::path::PathBuf;
 
 use adt_check::{
-    check_completeness_with_config, check_consistency_with_config, CheckConfig,
-    ConsistencyVerdict, ProbeConfig,
+    check_completeness_session, check_consistency_session, fault_isolation_check, CheckConfig,
+    CompletenessReport, ConsistencyReport, ConsistencyVerdict, FaultSpec, ProbeConfig,
 };
-use adt_core::{ExhaustionCause, Fuel};
+use adt_core::{ExhaustionCause, Fuel, Session, Spec};
 use adt_rewrite::{RewriteError, Rewriter};
-use adt_verify::{fault_isolation_check, parse_fault_plan};
 use adt_structures::sources;
+
+/// One completeness check in a fresh session.
+fn completeness(spec: &Spec, config: &CheckConfig) -> CompletenessReport {
+    check_completeness_session(&Session::new(spec.clone()), config)
+}
+
+/// One consistency check in a fresh session.
+fn consistency(spec: &Spec, probe: &ProbeConfig, config: &CheckConfig) -> ConsistencyReport {
+    check_consistency_session(&Session::new(spec.clone()), probe, config)
+}
 
 /// A one-rule divergent system: every probe loops forever without fuel.
 const LOOP: &str = "type L
@@ -54,7 +63,7 @@ fn cli(args: &[&str]) -> adt_cli::Outcome {
 #[test]
 fn injected_panic_is_contained_at_any_job_count() {
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=7,panic=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=7,panic=1").expect("plan parses");
     for jobs in [1, 4] {
         let report = fault_isolation_check(
             &spec,
@@ -78,7 +87,7 @@ fn injected_panic_is_contained_at_any_job_count() {
 #[test]
 fn all_three_fault_kinds_are_contained_together() {
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=3,panic=1,exhaust=1,slow=1,slow-ms=1").expect("plan parses");
     for jobs in [1, 4] {
         let report = fault_isolation_check(
             &spec,
@@ -96,10 +105,10 @@ fn slow_faults_change_nothing_at_all() {
     // does not change any item's verdict, so the *entire* report — the
     // slowed items included — must be byte-identical to a clean run.
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=5,slow=3,slow-ms=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=5,slow=3,slow-ms=1").expect("plan parses");
     let probe = ProbeConfig::default();
-    let clean = check_consistency_with_config(&spec, &probe, &CheckConfig::jobs(4));
-    let slowed = check_consistency_with_config(
+    let clean = consistency(&spec, &probe, &CheckConfig::jobs(4));
+    let slowed = consistency(
         &spec,
         &probe,
         &CheckConfig::jobs(4).with_faults(plan.clone()),
@@ -110,9 +119,8 @@ fn slow_faults_change_nothing_at_all() {
     assert_eq!(clean.summary(), slowed.summary());
     assert!(slowed.failures().is_empty());
 
-    let comp_clean = check_completeness_with_config(&spec, &CheckConfig::jobs(4));
-    let comp_slowed =
-        check_completeness_with_config(&spec, &CheckConfig::jobs(4).with_faults(plan));
+    let comp_clean = completeness(&spec, &CheckConfig::jobs(4));
+    let comp_slowed = completeness(&spec, &CheckConfig::jobs(4).with_faults(plan));
     assert_eq!(comp_clean.coverage(), comp_slowed.coverage());
 }
 
@@ -142,7 +150,7 @@ fn checker_surfaces_divergence_as_a_partial_verdict() {
     let mut summaries = Vec::new();
     for jobs in [1, 4] {
         let cfg = CheckConfig::jobs(jobs).with_fuel(Fuel::steps(100));
-        let report = check_consistency_with_config(&spec, &probe, &cfg);
+        let report = consistency(&spec, &probe, &cfg);
         assert_eq!(
             report.verdict(),
             &ConsistencyVerdict::Exhausted,
@@ -204,7 +212,7 @@ fn incomplete_spec_yields_partial_verdict_without_panicking() {
     let spec = adt_dsl::parse(sources::QUEUE_INCOMPLETE).expect("shipped spec parses");
     for jobs in [1, 4] {
         let cfg = CheckConfig::jobs(jobs);
-        let comp = check_completeness_with_config(&spec, &cfg);
+        let comp = completeness(&spec, &cfg);
         assert!(!comp.is_sufficiently_complete(), "jobs {jobs}");
         assert!(comp.has_definite_missing(), "jobs {jobs}");
         assert_eq!(comp.missing_case_count(), 1, "jobs {jobs}");
@@ -214,7 +222,7 @@ fn incomplete_spec_yields_partial_verdict_without_panicking() {
             comp.prompts()
         );
         // Consistency still runs to a verdict on the incomplete spec.
-        let cons = check_consistency_with_config(&spec, &ProbeConfig::default(), &cfg);
+        let cons = consistency(&spec, &ProbeConfig::default(), &cfg);
         assert!(cons.failures().is_empty(), "jobs {jobs}");
     }
 
@@ -240,13 +248,13 @@ fn exhaust_faults_are_never_rescued_by_the_retry_ladder() {
     // clean, and the isolation harness would be comparing the wrong run.
     use adt_check::RetryFuel;
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let plan = parse_fault_plan("seed=3,exhaust=2").expect("plan parses");
+    let plan = FaultSpec::parse("seed=3,exhaust=2").expect("plan parses");
     let probe = ProbeConfig::default();
     for jobs in [1, 4] {
         let base = CheckConfig::jobs(jobs).with_faults(plan.clone());
         let with_retry = base.clone().with_retry(RetryFuel::default());
-        let plain = check_consistency_with_config(&spec, &probe, &base);
-        let retried = check_consistency_with_config(&spec, &probe, &with_retry);
+        let plain = consistency(&spec, &probe, &base);
+        let retried = consistency(&spec, &probe, &with_retry);
         assert_eq!(
             plain.pair_verdicts(),
             retried.pair_verdicts(),
@@ -263,8 +271,8 @@ fn exhaust_faults_are_never_rescued_by_the_retry_ladder() {
             retried.stats().retries
         );
 
-        let comp_plain = check_completeness_with_config(&spec, &base);
-        let comp_retried = check_completeness_with_config(&spec, &with_retry);
+        let comp_plain = completeness(&spec, &base);
+        let comp_retried = completeness(&spec, &with_retry);
         assert_eq!(
             comp_plain.coverage(),
             comp_retried.coverage(),

@@ -3,8 +3,8 @@
 //! specification checks out, and the new visibility behaviour is
 //! derivable and implemented.
 
-use adt_check::{check_completeness, check_consistency};
-use adt_core::Term;
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::{Session, Term};
 use adt_rewrite::Rewriter;
 use adt_structures::specs::{axiom_diff, symboltable_kl_spec, symboltable_spec};
 use adt_structures::{sources, AttrList, Ident, KnowList, SymbolTableKl};
@@ -32,13 +32,15 @@ fn the_change_is_localized_to_enterblock_axioms() {
 #[test]
 fn layered_specification_checks_out() {
     let spec = symboltable_kl_spec();
-    let completeness = check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     assert!(
         completeness.is_sufficiently_complete(),
         "{}",
         completeness.prompts()
     );
-    assert!(check_consistency(&spec).is_consistent());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
 }
 
 #[test]

@@ -4,19 +4,32 @@
 //! implementation detail of the engine; any observable difference is a
 //! merge-order bug.
 
-use adt_check::{check_completeness_jobs, check_consistency_jobs, ProbeConfig};
-use adt_core::{display, Fuel, Session, Term};
+use adt_check::{
+    check_completeness_session, check_consistency_session, CheckConfig, CompletenessReport,
+    ConsistencyReport, ProbeConfig,
+};
+use adt_core::{display, Fuel, Session, Spec, Term};
 use adt_rewrite::Rewriter;
 use adt_structures::sources;
 use adt_verify::{differential_spec_check, enumerate_terms, DifferentialConfig};
+
+/// A completeness check at `jobs` workers in a fresh session.
+fn completeness(spec: &Spec, jobs: usize) -> CompletenessReport {
+    check_completeness_session(&Session::new(spec.clone()), &CheckConfig::jobs(jobs))
+}
+
+/// A consistency check at `jobs` workers in a fresh session.
+fn consistency(spec: &Spec, probe: &ProbeConfig, jobs: usize) -> ConsistencyReport {
+    check_consistency_session(&Session::new(spec.clone()), probe, &CheckConfig::jobs(jobs))
+}
 
 #[test]
 fn completeness_reports_are_identical_across_job_counts() {
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let seq = check_completeness_jobs(&spec, 1);
+        let seq = completeness(&spec, 1);
         for jobs in [2, 4, 8] {
-            let par = check_completeness_jobs(&spec, jobs);
+            let par = completeness(&spec, jobs);
             assert_eq!(
                 seq.is_sufficiently_complete(),
                 par.is_sufficiently_complete(),
@@ -38,9 +51,9 @@ fn consistency_reports_are_identical_across_job_counts() {
     let probe = ProbeConfig::default();
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let seq = check_consistency_jobs(&spec, &probe, 1);
+        let seq = consistency(&spec, &probe, 1);
         for jobs in [2, 4, 8] {
-            let par = check_consistency_jobs(&spec, &probe, jobs);
+            let par = consistency(&spec, &probe, jobs);
             assert_eq!(seq.is_consistent(), par.is_consistent(), "{name} at {jobs} jobs");
             assert_eq!(
                 seq.contradictions(),
@@ -61,7 +74,7 @@ fn the_differential_harness_agrees_on_every_shipped_spec() {
     let cfg = DifferentialConfig::default();
     for (name, source) in sources::all() {
         let spec = adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let report = differential_spec_check(&spec, &cfg);
+        let report = differential_spec_check(&Session::new(spec), &cfg);
         assert!(report.passed(), "{name}:\n{}", report.render());
     }
 }
@@ -138,8 +151,8 @@ fn work_sharing_never_changes_the_normal_form() {
 #[test]
 fn zero_jobs_means_all_cores_and_still_matches() {
     let spec = sources::load("queue").unwrap();
-    let seq = check_completeness_jobs(&spec, 1);
-    let auto = check_completeness_jobs(&spec, 0);
+    let seq = completeness(&spec, 1);
+    let auto = completeness(&spec, 0);
     assert_eq!(seq.coverage(), auto.coverage());
     assert_eq!(seq.prompts(), auto.prompts());
 }

@@ -3,21 +3,23 @@
 //! (including the boundary conditions) is derivable by rewriting, and the
 //! paper's program segments run in the symbolic interpreter.
 
-use adt_check::{check_completeness, check_consistency};
-use adt_core::Term;
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::{Session, Term};
 use adt_rewrite::{Rewriter, SymbolicSession};
 use adt_structures::sources;
 
 #[test]
 fn queue_source_file_checks_out() {
     let spec = sources::load("queue").unwrap();
-    let completeness = check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     assert!(
         completeness.is_sufficiently_complete(),
         "{}",
         completeness.prompts()
     );
-    let consistency = check_consistency(&spec);
+    let consistency = check_consistency_session(&session, &ProbeConfig::default(), &config);
     assert!(consistency.is_consistent(), "{}", consistency.summary());
     assert_eq!(spec.axioms().len(), 6);
 }

@@ -5,11 +5,9 @@
 //! shares one rule set across all its case splits; this table is what it
 //! must keep producing.
 
-use adt_core::Session;
 use adt_structures::specs::{symboltable_spec, symtab_rep_op_map, symtab_rep_spec};
 use adt_verify::{
-    translate_obligations, verify_obligation, verify_obligation_session, Obligation,
-    ObligationOutcome, ProofConfig,
+    translate_obligations, verify_obligation, Obligation, ObligationOutcome, ProofConfig,
 };
 
 fn obligations() -> (adt_core::Spec, Vec<Obligation>) {
@@ -71,24 +69,4 @@ fn without_assumption_1_only_axioms_6_and_9_fail_and_exactly_so() {
             ob.label
         );
     }
-}
-
-#[test]
-fn session_proofs_equal_fresh_proofs_for_every_obligation() {
-    let (ext, obs) = obligations();
-    // One session across both configurations and all obligations, so
-    // later proofs run against a memo warmed by earlier ones.
-    let session = Session::new(ext.clone());
-    for cfg in [assumption_1(), ProofConfig::default()] {
-        for ob in &obs {
-            assert_eq!(
-                verify_obligation_session(&session, ob, &cfg).unwrap(),
-                verify_obligation(&ext, ob, &cfg).unwrap(),
-                "axiom {} under {:?}",
-                ob.label,
-                cfg.restrictions
-            );
-        }
-    }
-    assert!(session.stats().memo_entries > 0);
 }

@@ -6,7 +6,8 @@
 //! See `conditional_correctness.rs` for the Assumption-1 half (axioms
 //! that hold only in legal environments).
 
-use adt_check::check_completeness;
+use adt_check::{check_completeness_session, CheckConfig};
+use adt_core::Session;
 use adt_structures::specs::{symboltable_spec, symtab_rep_op_map, symtab_rep_spec};
 use adt_verify::{translate_obligations, verify_obligation, ObligationKind, ProofConfig};
 
@@ -17,7 +18,7 @@ const CONDITIONAL_AXIOMS: [&str; 2] = ["6", "9"];
 #[test]
 fn representation_level_spec_is_sufficiently_complete() {
     let rep = symtab_rep_spec();
-    let report = check_completeness(&rep);
+    let report = check_completeness_session(&Session::new(rep), &CheckConfig::default());
     assert!(report.is_sufficiently_complete(), "{}", report.prompts());
 }
 

@@ -13,10 +13,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use adt_check::{check_consistency, check_consistency_with_config, CheckConfig, ProbeConfig};
-use adt_core::{display, Rule, RuleSet, Spec};
+use adt_check::{
+    check_consistency_session, CheckConfig, ConsistencyReport, FaultSpec, ProbeConfig,
+};
+use adt_core::{display, Rule, RuleSet, Session, Spec};
 use adt_rewrite::superpositions;
-use adt_verify::parse_fault_plan;
 
 const MULTI_HEAD: &str = "type T
 ops
@@ -43,6 +44,11 @@ end
 /// Fresh builds per assertion: each `HashMap` gets its own hash keys, so
 /// a hash-ordered rule set disagrees with itself within a few builds.
 const BUILDS: usize = 8;
+
+/// One consistency check in a fresh session.
+fn consistency(spec: &Spec, config: &CheckConfig) -> ConsistencyReport {
+    check_consistency_session(&Session::new(spec.clone()), &ProbeConfig::default(), config)
+}
 
 fn spec() -> Spec {
     adt_dsl::parse(MULTI_HEAD).expect("fixture parses")
@@ -92,7 +98,7 @@ fn superpositions_agree_across_builds() {
 fn contradictions_are_listed_in_axiom_order() {
     let spec = spec();
     for _ in 0..BUILDS {
-        let report = check_consistency(&spec);
+        let report = consistency(&spec, &CheckConfig::default());
         let peaks: Vec<String> = report
             .contradictions()
             .iter()
@@ -105,10 +111,10 @@ fn contradictions_are_listed_in_axiom_order() {
 #[test]
 fn a_seeded_fault_plan_hits_the_same_pairs_every_run() {
     let spec = spec();
-    let plan = parse_fault_plan("seed=7,panic=1,exhaust=1").expect("plan parses");
+    let plan = FaultSpec::parse("seed=7,panic=1,exhaust=1").expect("plan parses");
     let config = CheckConfig::jobs(1).with_faults(plan);
     let run = || {
-        let report = check_consistency_with_config(&spec, &ProbeConfig::default(), &config);
+        let report = consistency(&spec, &config);
         (report.pair_verdicts().to_vec(), report.summary())
     };
     let first = run();

@@ -1,19 +1,18 @@
 //! Session-reuse invariance: one [`Session`] shared across the
 //! completeness, consistency, and differential checkers must produce
-//! reports byte-identical to fresh-session runs of the same checks, at
-//! every job count. The shared arena and the warm memo are performance
-//! machinery only — if reuse changes a single report byte, cache reuse
-//! has leaked into semantics.
+//! reports byte-identical to runs that give every check a fresh session
+//! of its own, at every job count. The shared arena and the warm memo are
+//! performance machinery only — if reuse changes a single report byte,
+//! cache reuse has leaked into semantics.
 
 use adt_check::{
-    check_completeness_session, check_completeness_with_config, check_consistency_session,
-    check_consistency_with_config, probe_terms, CheckConfig, CompletenessReport, ConsistencyReport,
-    ProbeConfig,
+    check_completeness_session, check_consistency_session, probe_terms, CheckConfig,
+    CompletenessReport, ConsistencyReport, ProbeConfig,
 };
 use adt_core::Session;
 use adt_rewrite::Rewriter;
 use adt_structures::sources;
-use adt_verify::{differential_spec_check, differential_spec_check_session, DifferentialConfig};
+use adt_verify::{differential_spec_check, DifferentialConfig};
 
 /// Every observable of a completeness report, folded into one string so
 /// comparisons are byte-for-byte.
@@ -66,9 +65,10 @@ fn shared_session_reports_match_fresh_runs_on_every_spec() {
                 adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
 
             // Fresh-session baseline: each check builds its own state.
-            let comp_fresh = check_completeness_with_config(&spec, &config);
-            let cons_fresh = check_consistency_with_config(&spec, &probe, &config);
-            let diff_fresh = differential_spec_check(&spec, &dcfg);
+            let fresh = || Session::new(spec.clone());
+            let comp_fresh = check_completeness_session(&fresh(), &config);
+            let cons_fresh = check_consistency_session(&fresh(), &probe, &config);
+            let diff_fresh = differential_spec_check(&fresh(), &dcfg);
 
             // One session carried across all three checks in sequence,
             // so the consistency phase runs against a memo warmed by
@@ -76,7 +76,7 @@ fn shared_session_reports_match_fresh_runs_on_every_spec() {
             let session = Session::new(spec.clone());
             let comp_shared = check_completeness_session(&session, &config);
             let cons_shared = check_consistency_session(&session, &probe, &config);
-            let diff_shared = differential_spec_check_session(&session, &dcfg);
+            let diff_shared = differential_spec_check(&session, &dcfg);
 
             assert_eq!(
                 completeness_fingerprint(&comp_fresh),
@@ -106,9 +106,8 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     let session = Session::new(spec.clone());
     let config = CheckConfig::jobs(1);
 
-    // Completeness is a static pattern-coverage analysis: it interns
-    // witness terms for missing cases but normalizes nothing, and this
-    // spec is sufficiently complete — the session stays untouched.
+    // Completeness is a static pattern-coverage analysis: it normalizes
+    // nothing, so the session stays untouched.
     check_completeness_session(&session, &config);
     let after_comp = session.stats();
     assert_eq!(after_comp.normalizations, 0);
@@ -116,9 +115,12 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     check_consistency_session(&session, &ProbeConfig::default(), &config);
     let after_cons = session.stats();
     assert!(after_cons.memo_entries > 0, "consistency left no memo facts");
-    assert!(after_cons.interned_terms > 0, "no probe terms were interned");
+    assert!(
+        after_cons.interned_terms > 0,
+        "consistency published no terms to the session arena"
+    );
 
-    differential_spec_check_session(&session, &DifferentialConfig::default());
+    differential_spec_check(&session, &DifferentialConfig::default());
     let after_diff = session.stats();
     assert!(after_diff.memo_entries >= after_cons.memo_entries);
     assert!(
@@ -127,17 +129,6 @@ fn a_reused_session_accumulates_monotone_telemetry() {
     );
     assert!(after_diff.interned_terms >= after_cons.interned_terms);
     assert!(after_diff.arena_bytes > 0);
-
-    // An incomplete spec's completeness check does touch the arena: the
-    // missing-case witnesses are interned for id-holding consumers.
-    let gappy = sources::load("queue_incomplete").unwrap();
-    let gappy_session = Session::new(gappy.clone());
-    let report = check_completeness_session(&gappy_session, &config);
-    assert!(!report.is_sufficiently_complete());
-    assert!(
-        gappy_session.stats().interned_terms > 0,
-        "missing-case witnesses were not interned"
-    );
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! axiom 4 dropped — and must *stay* incomplete with exactly one missing
 //! case (`FRONT(ADD(queue_1, item_1)) = ?`).
 
-use adt_check::{check_completeness, check_consistency};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::Session;
 use adt_structures::sources;
 
 /// (name, sufficiently complete, missing cases, consistent)
@@ -41,7 +42,9 @@ fn every_shipped_spec_matches_its_golden_verdicts() {
             .unwrap_or_else(|| panic!("no golden row for `{name}` — update the table"));
         let spec =
             adt_dsl::parse(source).unwrap_or_else(|e| panic!("{name}: {}", e.render(source)));
-        let comp = check_completeness(&spec);
+        let session = Session::new(spec);
+        let config = CheckConfig::default();
+        let comp = check_completeness_session(&session, &config);
         assert_eq!(
             comp.is_sufficiently_complete(),
             complete,
@@ -54,7 +57,7 @@ fn every_shipped_spec_matches_its_golden_verdicts() {
             "{name}: missing-case count drifted\n{}",
             comp.prompts()
         );
-        let cons = check_consistency(&spec);
+        let cons = check_consistency_session(&session, &ProbeConfig::default(), &config);
         assert_eq!(
             cons.is_consistent(),
             consistent,
@@ -67,7 +70,7 @@ fn every_shipped_spec_matches_its_golden_verdicts() {
 #[test]
 fn the_incomplete_queue_prompt_is_stable() {
     let spec = sources::load("queue_incomplete").unwrap();
-    let report = check_completeness(&spec);
+    let report = check_completeness_session(&Session::new(spec), &CheckConfig::default());
     assert!(report
         .prompts()
         .contains("FRONT(ADD(queue_1, item_1)) = ?"));

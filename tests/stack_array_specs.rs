@@ -1,8 +1,8 @@
 //! EX-4 and EX-5: the Stack (axioms 10–16) and Array (axioms 17–20)
 //! specifications, driven from their `.adt` source files.
 
-use adt_check::{check_completeness, check_consistency};
-use adt_core::{Spec, Term};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::{Session, Spec, Term};
 use adt_rewrite::Rewriter;
 use adt_structures::sources;
 
@@ -13,26 +13,30 @@ fn apply(spec: &Spec, op: &str, args: Vec<Term>) -> Term {
 #[test]
 fn stack_source_file_checks_out() {
     let spec = sources::load("stack").unwrap();
-    let completeness = check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     assert!(
         completeness.is_sufficiently_complete(),
         "{}",
         completeness.prompts()
     );
-    assert!(check_consistency(&spec).is_consistent());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
     assert_eq!(spec.axioms().len(), 7); // 10–16
 }
 
 #[test]
 fn array_source_file_checks_out() {
     let spec = sources::load("array").unwrap();
-    let completeness = check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     assert!(
         completeness.is_sufficiently_complete(),
         "{}",
         completeness.prompts()
     );
-    assert!(check_consistency(&spec).is_consistent());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
 }
 
 #[test]

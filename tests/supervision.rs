@@ -19,12 +19,22 @@ use std::fs;
 use std::path::PathBuf;
 
 use adt_check::{
-    check_completeness_with_config, check_consistency_with_config, CheckConfig,
-    ConsistencyVerdict, ProbeConfig,
+    check_completeness_session, check_consistency_session, CheckConfig, CompletenessReport,
+    ConsistencyReport, ConsistencyVerdict, ProbeConfig,
 };
 use adt_cli::checkpoint::Checkpoint;
-use adt_core::{CancelToken, Supervisor};
+use adt_core::{CancelToken, Session, Spec, Supervisor};
 use adt_structures::sources;
+
+/// One completeness check in a fresh session.
+fn completeness(spec: &Spec, config: &CheckConfig) -> CompletenessReport {
+    check_completeness_session(&Session::new(spec.clone()), config)
+}
+
+/// One consistency check in a fresh session.
+fn consistency(spec: &Spec, probe: &ProbeConfig, config: &CheckConfig) -> ConsistencyReport {
+    check_consistency_session(&Session::new(spec.clone()), probe, config)
+}
 
 fn temp_path(name: &str, suffix: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -53,7 +63,7 @@ fn seeded_cancellation_stops_consistency_at_the_same_point_every_time() {
     let probe = ProbeConfig::default();
     let mut summaries = Vec::new();
     for _ in 0..2 {
-        let report = check_consistency_with_config(&spec, &probe, &cancelled_after(5));
+        let report = consistency(&spec, &probe, &cancelled_after(5));
         assert_eq!(
             report.verdict(),
             &ConsistencyVerdict::Interrupted,
@@ -84,7 +94,7 @@ fn seeded_cancellation_stops_consistency_at_the_same_point_every_time() {
 #[test]
 fn seeded_cancellation_downgrades_completeness_without_failing_it() {
     let spec = adt_dsl::parse(sources::QUEUE).expect("shipped spec parses");
-    let report = check_completeness_with_config(&spec, &cancelled_after(2));
+    let report = completeness(&spec, &cancelled_after(2));
     assert!(report.interrupted_ops() > 0, "{}", report.prompts());
     // Interruption is never evidence of incompleteness: the undetermined
     // operations are prompted about, not counted as missing cases.
@@ -109,7 +119,7 @@ fn immediate_cancellation_interrupts_everything_deterministically() {
         token.cancel();
         let cfg =
             CheckConfig::jobs(jobs).with_supervisor(Supervisor::none().with_cancel(token));
-        let report = check_consistency_with_config(&spec, &probe, &cfg);
+        let report = consistency(&spec, &probe, &cfg);
         assert_eq!(report.verdict(), &ConsistencyVerdict::Interrupted);
         summaries.push(report.summary());
     }

@@ -2,8 +2,8 @@
 //! `.adt` source file — the compiler-facing behaviour of the abstract
 //! type, derived purely by rewriting.
 
-use adt_check::{check_completeness, check_consistency};
-use adt_core::{Spec, Term};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::{Session, Spec, Term};
 use adt_rewrite::{Rewriter, SymbolicSession};
 use adt_structures::sources;
 
@@ -18,13 +18,15 @@ fn apply(spec: &Spec, op: &str, args: Vec<Term>) -> Term {
 #[test]
 fn the_source_file_checks_out() {
     let spec = spec();
-    let completeness = check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     assert!(
         completeness.is_sufficiently_complete(),
         "{}",
         completeness.prompts()
     );
-    assert!(check_consistency(&spec).is_consistent());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
     // 9 paper axioms + the 9-entry ISSAME? table.
     assert_eq!(spec.axioms().len(), 18);
 }

@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 
-use adt_check::{check_completeness, check_consistency};
+use adt_check::{check_completeness_session, check_consistency_session, CheckConfig, ProbeConfig};
+use adt_core::Session;
 use adt_rewrite::SymbolicSession;
 use adt_verify::{check_axioms, AxiomCheckConfig, MValue, ModelBuilder};
 
@@ -48,13 +49,15 @@ end
 fn step_1_and_2_specify_and_check() {
     let spec = adt_dsl::parse(BAG_SPEC).unwrap();
     assert_eq!(spec.name(), "Bag");
-    let completeness = check_completeness(&spec);
+    let session = Session::new(spec.clone());
+    let config = CheckConfig::default();
+    let completeness = check_completeness_session(&session, &config);
     assert!(
         completeness.is_sufficiently_complete(),
         "{}",
         completeness.prompts()
     );
-    assert!(check_consistency(&spec).is_consistent());
+    assert!(check_consistency_session(&session, &ProbeConfig::default(), &config).is_consistent());
 }
 
 #[test]
@@ -65,7 +68,7 @@ fn dropping_c2_prompts_as_the_tutorial_says() {
         .collect::<Vec<_>>()
         .join("\n");
     let spec = adt_dsl::parse(&without_c2).unwrap();
-    let report = check_completeness(&spec);
+    let report = check_completeness_session(&Session::new(spec), &CheckConfig::default());
     assert!(!report.is_sufficiently_complete());
     assert!(
         report
@@ -87,7 +90,10 @@ fn the_rewrap_bug_is_caught_by_consistency() {
     let spec = adt_dsl::parse(&buggy).unwrap();
     // The buggy spec is still complete and consistent as an axiom set —
     // it just specifies a *different* (wrong) TAKE…
-    assert!(check_completeness(&spec).is_sufficiently_complete());
+    let session = Session::new(spec.clone());
+    assert!(
+        check_completeness_session(&session, &CheckConfig::default()).is_sufficiently_complete()
+    );
     // …which the correct multiset implementation then fails:
     let model = bag_model(&spec);
     let report = check_axioms(&model, &AxiomCheckConfig::default());
